@@ -3,7 +3,8 @@
 Every bench regenerates one of the paper's tables or figures: it computes
 the series with the library, prints it (visible with ``pytest -s``), and
 writes it to ``benchmarks/results/<name>.txt`` so the artefacts survive
-the run.  EXPERIMENTS.md indexes the outputs against the paper's numbers.
+the run.  The paper's numbers they are read against live in
+``repro.analysis.validation.HEADLINE_CLAIMS``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ Two lanes around partition construction, the serving layer's cold cost:
   (:func:`repro.core.coldpath.fused_build_and_sample`, via
   :func:`repro.core.dispatch.run_build`) against separate
   build-then-sample.  Fusion folds the FPS seed scan into the partition
-  sweep; in pure Python the win is bounded (the paper's gain needs the
-  on-chip pipeline), so this lane asserts bit-parity, not speed.
+  sweep, but each leaf still runs the per-block loop recurrence, while
+  the two-pass build dispatches its FPS (ragged at these sizes, 2x
+  cheaper end to end); the paper's gain needs the on-chip pipeline, so
+  this lane asserts bit-parity, not speed.
 - **frame sequence**: a streaming sensor (the loadgen ``frames``
   profile) served by the delta-enabled :class:`PartitionCache` against a
   full rebuild per frame.  Certificate verification is one vectorised

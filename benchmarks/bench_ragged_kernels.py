@@ -130,9 +130,9 @@ def test_ragged_kernels(benchmark):
     emit("ragged_kernels", table)
     # Acceptance: in the mid-size regime the dispatcher must choose the
     # ragged path on its own, and that path must beat the per-block loop
-    # with a real margin — the fused multi-k KNN extraction (one padded
-    # stable argsort instead of k segment-min passes) widened it from
-    # the historical ~1.1x.
+    # with a real margin (the per-block loop and the ragged path share
+    # one top-k rule, ``_knn_from_dists``; the ragged win is the fused
+    # distance pass and one dense scatter for all blocks).
     assert mid_results, "sweep produced no mid-regime configuration"
     for choice, speedup in mid_results:
         assert choice == "ragged"

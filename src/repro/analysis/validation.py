@@ -1,6 +1,6 @@
 """Headline-claim validation: the paper's numbers as machine-checkable bands.
 
-Encodes the reproduction targets from EXPERIMENTS.md as
+Encodes the reproduction targets (the paper's reported ratios) as
 :class:`HeadlineClaim` records with acceptance bands, and
 :func:`validate_headlines` measures them all with the simulator.  The
 bands are deliberately wide (shape-level reproduction, see DESIGN.md §1):

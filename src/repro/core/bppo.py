@@ -54,7 +54,7 @@ _STACK_BUDGET = 1 << 21
 
 #: A block whose centres × search-space product is at or below this runs
 #: through the stacked path; bigger blocks are already dominated by their
-#: own GEMM/sort and only pay the padding + copy tax of stacking, so they
+#: own GEMM and only pay the padding + copy tax of stacking, so they
 #: take the per-block path.  Must not exceed
 #: ``repro.geometry.ops._DIRECT_FORM_MAX`` — that keeps every stacked
 #: slice on the elementwise distance form, whose bits are independent of
@@ -629,9 +629,11 @@ def block_knn_batched(
     """Batched :func:`block_knn`: identical neighbours, widening, and trace.
 
     Per-block candidate subsets (with the same widening rule as the serial
-    path) are padded into stacked problems; padded candidates sort after
-    every real one under the stable distance-then-index order, so results
-    match the per-block reference bit-for-bit.  Like the batched ball
+    path) are padded into stacked problems; padded candidates carry
+    ``inf`` and rank after every real one under the shared (distance,
+    index) top-k rule (``repro.geometry.ops._knn_from_dists`` — the
+    stacked path holds no sort of its own), so results match the
+    per-block reference bit-for-bit.  Like the batched ball
     query, blocks above :data:`_STACK_SMALL` take the per-block path
     directly.
     """
@@ -725,13 +727,7 @@ def block_interpolate_batched(
     return features, trace
 
 
-def block_gather_batched(
-    structure: BlockStructure,
-    features: np.ndarray,
-    neighbor_indices: np.ndarray,
-    center_indices: np.ndarray,
-) -> tuple[np.ndarray, OpTrace]:
-    """Batched :func:`block_gather` — gathering is already one vectorized
-    fancy-indexing pass, so this is the same computation; the alias keeps
-    the batched API complete for schedulers that select ops by name."""
-    return block_gather(structure, features, neighbor_indices, center_indices)
+#: Gathering is already one vectorized fancy-indexing pass, so the batched
+#: name is the same function; it keeps the batched API complete for
+#: schedulers that select ops by name.
+block_gather_batched = block_gather

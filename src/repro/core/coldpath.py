@@ -8,6 +8,21 @@ a leaf, its points are already resident, so the FPS recurrence starts
 immediately on that block while the builder keeps splitting the rest of
 the cloud.
 
+Where it pays, and where it cannot.  FuseFPS wins in hardware by not
+re-reading points between construction and sampling.  A Python process
+has no such traffic to save: the fused build costs exactly what
+build-then-loop-FPS costs (measured within 2 % from 64 to 11.7K points),
+because each leaf still runs the per-block recurrence one Python trip
+per sample.  That recurrence is the right FPS kernel only while the
+partition has one or two blocks; past that the two-pass build reaches
+the ragged FPS (:func:`repro.core.ragged.fps_on_layout`, one trip per
+sample of the *fullest* block for all blocks together) and is 2–3x
+cheaper — 43 vs 15 ms on an 11.7K-point scene; that is all there is to
+fusion inverting at scale.
+:func:`repro.core.dispatch.choose_build_kernel` therefore fuses only up
+to two expected blocks, where the tie also spares the engine one kernel
+dispatch, and ``--build fused`` stays a pin.
+
 The python analogue keeps the hardware contract that matters — **bit
 identity** with the unfused path (``partitioner(coords)`` followed by
 ``block_fps``).  Two properties make that cheap to guarantee:

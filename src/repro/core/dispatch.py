@@ -17,7 +17,8 @@ module is the single place that knows which one to run:
 Dispatch table (``kernel="auto"``)
 ----------------------------------
 
-The unit of cost is a block's *work product* — centres × search-space
+The unit of cost of the neighbour searches (``ball_query``, ``knn``,
+``interpolate``) is a block's *work product* — centres × search-space
 size, the number of distance evaluations the block needs.  Auto dispatch
 assigns each block's product to one of three regimes and picks the kernel
 owning the largest share of total work:
@@ -33,9 +34,25 @@ ragged   ``<= RAGGED_BLOCK_MAX`` (512)                too big to pad, too
                                                       per-block Python trip
 loop     ``> RAGGED_BLOCK_MAX``                       each block is
                                                       dominated by its own
-                                                      GEMM/sort; fusion
-                                                      buys nothing
+                                                      GEMM; fusion buys
+                                                      nothing
 ======== ============================================ =====================
+
+**FPS has no GEMM regime** — every step of its recurrence is an
+elementwise pass plus an argmax, whatever the block size — so its unit
+of cost is the recurrence *step*: the loop takes one Python trip per
+sample per block (``sum(quotas)``), the ragged kernel one trip per sample
+of the fullest block (``max(quotas)``) with every block riding along.  A
+ragged step (three coordinate columns plus a segment argmax) costs about
+two loop steps, so FPS goes ``ragged`` once the other blocks together
+run more steps than the largest block alone, else ``loop``; the stack
+wins nowhere (``benchmarks/results/ragged_kernels.txt``).
+
+Two shortcuts skip the arithmetic: a single-block partition leaves
+nothing to stack or fuse (``loop``), and an op registered with one
+implementation under every name (``gather``) is resolved without
+consulting the cost model at all — the arithmetic costs more than the
+gather.
 
 Centre counts are exact when the caller already groups its centres by
 block — pipeline stages know how many centres each block received from
@@ -123,11 +140,9 @@ KERNELS: dict[str, dict[str, Callable]] = {
         "stacked": bppo.block_interpolate_batched,
         "ragged": ragged.ragged_interpolate,
     },
-    "gather": {
-        "loop": bppo.block_gather,
-        "stacked": bppo.block_gather_batched,
-        "ragged": ragged.ragged_gather,
-    },
+    # Gathering is one fancy-indexing pass whichever way the blocks are
+    # laid out: the same function under every name.
+    "gather": dict.fromkeys(("loop", "stacked", "ragged"), bppo.block_gather),
 }
 
 
@@ -161,7 +176,8 @@ def choose_kernel(
             dispatch on their real work distribution.
 
     Returns:
-        The kernel name owning the largest share of estimated work.
+        The kernel name owning the largest share of estimated work
+        (recurrence steps for ``fps``, see the module docstring).
     """
     sizes = structure.block_sizes.astype(np.float64)
     total = sizes.sum()
@@ -177,10 +193,12 @@ def choose_kernel(
     else:
         m = total if num_centers is None else float(num_centers)
         centers_est = m * sizes / total
-    search = (
-        sizes if op == "fps" else structure.search_sizes.astype(np.float64)
-    )
-    products = centers_est * search
+    if structure.num_blocks == 1:
+        return "loop"  # nothing to stack or fuse
+    if op == "fps":
+        fullest = centers_est.max()
+        return "ragged" if centers_est.sum() - fullest > fullest else "loop"
+    products = centers_est * structure.search_sizes
     work_small = products[products <= _STACK_SMALL].sum()
     mid = (products > _STACK_SMALL) & (products <= RAGGED_BLOCK_MAX)
     work_mid = products[mid].sum()
@@ -204,7 +222,9 @@ def resolve_kernel(
     Precedence: an explicit non-``auto`` ``kernel`` argument wins
     outright; :data:`KERNEL_ENV` fills in only when the argument is
     ``"auto"``; whatever is still ``"auto"`` after that goes to the cost
-    model (with measured ``center_counts`` when the caller has them).
+    model (with measured ``center_counts`` when the caller has them) —
+    unless the op has one implementation registered under every name,
+    which is returned as is.
     """
     kernel = validate_kernel(kernel)
     if kernel == "auto":
@@ -212,6 +232,9 @@ def resolve_kernel(
         if override:
             kernel = validate_kernel(override)
     if kernel == "auto":
+        names = KERNELS.get(op, {})
+        if len(set(names.values())) == 1:
+            return next(iter(names))  # one implementation: nothing to choose
         kernel = choose_kernel(op, structure, num_centers, center_counts)
     return kernel
 
@@ -252,20 +275,27 @@ def _block_bound(partitioner) -> int:
 def choose_build_kernel(partitioner, num_points: int, num_samples: int) -> str:
     """Cost-model choice between the fused and the two-pass cold build.
 
-    Fusion wins when every leaf's eagerly sampled candidate is likely to
-    stay inside its final quota — i.e. the sample budget covers roughly
-    one sample per expected block.  Below that, the fused path's
+    The fused build samples each leaf with the per-block loop recurrence
+    the moment it is finalized; the two-pass build dispatches its FPS
+    through :func:`run_op`.  Sharing the traversal saves a Python
+    process nothing measurable, so the two cost the same exactly where
+    auto FPS would run the loop anyway — up to two expected blocks, see
+    the FPS rule in the module docstring — and there the fused build
+    also spares the engine one dispatch.  Beyond that the ragged FPS the
+    two-pass build reaches is 2–3x faster than any per-leaf loop (43 vs
+    15 ms on an 11.7K-point scene): fusion inverts at scale.  Below one
+    sample per expected block the fused path's
     at-least-one-per-leaf eagerness does work the largest-remainder
-    allocation will discard, and the two-pass build (which knows the
-    exact quotas, many of them zero) is cheaper.  Partitioners without
-    the leaf hook always build-then-sample.
+    allocation will discard.  Partitioners without the leaf hook always
+    build-then-sample.
     """
     from .coldpath import supports_fused_build
 
     if not supports_fused_build(partitioner):
         return "build_then_sample"
     expected_blocks = -(-max(1, num_points) // _block_bound(partitioner))
-    return "fused" if num_samples >= expected_blocks else "build_then_sample"
+    fuse = expected_blocks <= 2 and num_samples >= expected_blocks
+    return "fused" if fuse else "build_then_sample"
 
 
 def resolve_build_kernel(
@@ -305,8 +335,9 @@ def run_build(
     Returns ``(structure, sampled, fps_trace, name)`` where ``name`` is
     the build kernel that ran.  Both kernels are bit-identical; the fused
     one interleaves per-leaf FPS with tree construction
-    (:func:`repro.core.coldpath.fused_build_and_sample`), the reference
-    one runs ``partitioner(coords)`` followed by ``block_fps``.
+    (:func:`repro.core.coldpath.fused_build_and_sample`), the two-pass
+    one runs ``partitioner(coords)`` followed by the FPS kernel
+    :func:`run_op` resolves (``REPRO_KERNEL`` or the cost model).
     """
     from .coldpath import fused_build_and_sample
 
@@ -322,7 +353,9 @@ def run_build(
             )
         else:
             structure = partitioner(coords)
-            sampled, trace = bppo.block_fps(structure, coords, num_samples)
+            sampled, trace = run_op(
+                "fps", structure, coords, num_samples, num_centers=num_samples
+            )
     return structure, sampled, trace, name
 
 

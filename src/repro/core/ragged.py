@@ -18,10 +18,12 @@ module adds the third representation the mid-size regime wants — a **CSR
 Kernels over this layout (:func:`ragged_fps`, :func:`ragged_ball_query`,
 :func:`ragged_knn`, :func:`ragged_interpolate`) visit **all blocks at
 once** with segment reductions (``np.ufunc.reduceat`` argmax/argmin tricks,
-flat cumulative-sum hit ranking, k-pass segment extraction for top-k)
-instead of either padding or looping.  There is no padding waste and — outside the
-two documented per-block escapes below — no per-block Python work beyond
-trace construction.
+flat cumulative-sum hit ranking, one dense scatter handed to the shared
+top-k rule ``repro.geometry.ops._knn_from_dists``) instead of either
+padding or looping.  FPS streams the layout's coordinate *columns*
+(``RaggedBlocks.columns``, SoA) through preallocated buffers.  There is
+no padding waste and — outside the two documented per-block escapes
+below — no per-block Python work beyond trace construction.
 
 Bit-parity contract
 -------------------
@@ -43,7 +45,7 @@ serial reference in :mod:`repro.core.bppo`.  Two mechanisms guarantee it:
    shapes (one call per block — the first per-block escape).  Blocks whose
    work product exceeds :data:`RAGGED_BLOCK_MAX` take the serial per-block
    path wholesale (the second escape): they are dominated by their own
-   GEMM/sort, so fusing buys nothing and the flat pair arrays would only
+   GEMM, so fusing buys nothing and the flat pair arrays would only
    cost memory.
 
 ``tests/test_batch_parity.py`` holds the proof obligations across all
@@ -95,7 +97,7 @@ __all__ = [
 
 #: Per-block work-product ceiling (centres × search size) for the fused
 #: flat path; blocks above it run the serial per-block reference inside
-#: the ragged kernels — they are dominated by their own GEMM/sort, and the
+#: the ragged kernels — they are dominated by their own GEMM, and the
 #: flat pair arrays would only cost memory.  Set to 4x ``_STACK_SMALL``
 #: (the mid-size window) and deliberately equal to
 #: ``repro.geometry.ops._DIRECT_FORM_MAX``, so every fused block's
@@ -133,8 +135,11 @@ class RaggedBlocks:
             ``b`` in the block's own index order).
         offsets: ``(num_blocks + 1,)`` int64 block boundaries into the
             flat point arrays.
-        coords: ``(num_points, 3)`` float64 permuted coordinates
-            (``coords_global[perm]``) — each block's points contiguous.
+        columns: ``(3, num_points)`` float64 permuted coordinates in
+            column (SoA) form — row ``a`` is coordinate ``a`` of
+            ``coords_global[perm]``, contiguous, each block's points
+            adjacent.  The FPS recurrence streams one coordinate at a
+            time, so it never gathers ``(n, 3)`` rows.
         owner: ``(num_points,)`` global point id → owning block id.
         search_perm: concatenated per-block search-space global ids.
         search_offsets: ``(num_blocks + 1,)`` boundaries into the search
@@ -157,7 +162,7 @@ class RaggedBlocks:
     num_points: int
     perm: np.ndarray
     offsets: np.ndarray
-    coords: np.ndarray
+    columns: np.ndarray
     owner: np.ndarray
     search_perm: np.ndarray
     search_offsets: np.ndarray
@@ -170,6 +175,11 @@ class RaggedBlocks:
     @property
     def num_blocks(self) -> int:
         return len(self.offsets) - 1
+
+    @property
+    def coords(self) -> np.ndarray:
+        """``(num_points, 3)`` view of :attr:`columns` (``coords_global[perm]``)."""
+        return self.columns.T
 
     @property
     def block_sizes(self) -> np.ndarray:
@@ -207,7 +217,7 @@ class RaggedBlocks:
             num_points=structure.num_points,
             perm=perm,
             offsets=offsets,
-            coords=coords[perm],
+            columns=np.ascontiguousarray(coords[perm].T),
             owner=owner,
             search_perm=search_perm,
             search_offsets=search_offsets,
@@ -258,7 +268,7 @@ class RaggedBlocks:
             num_points=int(point_offsets[-1]),
             perm=perm,
             offsets=offsets,
-            coords=np.concatenate([rb.coords for rb in layouts]),
+            columns=np.concatenate([rb.columns for rb in layouts], axis=1),
             owner=owner,
             search_perm=search_perm,
             search_offsets=search_offsets,
@@ -373,29 +383,45 @@ def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
 
     starts = rb.offsets[:-1]
     owner_flat = np.repeat(np.arange(rb.num_blocks), sizes)
-    pts = rb.coords
     active = quotas > 0
     out[out_offsets[:-1][active]] = rb.perm[starts[active]]
 
     max_quota = int(quotas.max())
     if max_quota == 1:
         return out
-    # Same recurrence as farthest_point_sample, vectorized over blocks:
-    # elementwise subtract/square/sum give identical bits no matter how
-    # the flat array is sliced, and the segment argmax replicates
-    # np.argmax's first-tie rule.
-    min_d2 = ((pts - pts[starts][owner_flat]) ** 2).sum(axis=1)
-    slots = np.arange(len(pts))
-    sentinel = len(pts)
+    # Same recurrence as farthest_point_sample, vectorized over blocks and
+    # run one coordinate column at a time into preallocated buffers:
+    # elementwise subtract/square give identical bits no matter how the
+    # flat array is sliced, ``(x² + y²) + z²`` accumulates in exactly the
+    # order ``.sum(axis=1)`` reduces a length-3 axis (see
+    # ``_pair_sq_dists``), and the segment argmax replicates np.argmax's
+    # first-tie rule.
+    n = rb.num_points
+    min_d2, d2, term = np.empty((3, n))
+    is_max = np.empty(n, dtype=bool)
+
+    def sq_dists_to(picked: np.ndarray, dst: np.ndarray) -> None:
+        """``dst[i]`` = squared distance of slot ``i`` to its block's pick."""
+        for axis, column in enumerate(rb.columns):
+            buf = term if axis else dst
+            np.take(column[picked], owner_flat, out=buf, mode="clip")
+            np.subtract(column, buf, out=buf)
+            np.multiply(buf, buf, out=buf)
+            if axis:
+                np.add(dst, buf, out=dst)
+
+    sq_dists_to(starts, min_d2)
+    slots = np.arange(n)
     for i in range(1, max_quota):
-        # Inline segment argmax (first-tie, np.argmax's rule): per-block
-        # max, then the smallest slot attaining it.
+        # Segment argmax (first-tie): per-block max, then the smallest
+        # slot attaining it.
         seg_max = np.maximum.reduceat(min_d2, starts)
-        candidates = np.where(min_d2 == seg_max[owner_flat], slots, sentinel)
-        picked = np.minimum.reduceat(candidates, starts)
+        np.take(seg_max, owner_flat, out=term, mode="clip")
+        np.equal(min_d2, term, out=is_max)
+        picked = np.minimum.reduceat(np.where(is_max, slots, n), starts)
         live = quotas > i
         out[(out_offsets[:-1] + i)[live]] = rb.perm[picked[live]]
-        d2 = ((pts - pts[picked][owner_flat]) ** 2).sum(axis=1)
+        sq_dists_to(picked, d2)
         np.minimum(min_d2, d2, out=min_d2)
     return out
 
@@ -778,25 +804,20 @@ def _select_knn_flat(
 ) -> np.ndarray:
     """Top-``k`` by (distance, candidate order) over a flat pair space.
 
-    Implements the exact (distance, index) lexicographic rule of
-    ``repro.geometry.ops._knn_from_dists``, so the result is bit-identical
-    given identical distance bits.  All ``k`` neighbours come out of one
-    fused sweep: the pairs scatter into a dense ``(centres, max_width)``
-    matrix (one vectorised store — the column *is* the local candidate
-    index), padded with ``+inf`` for centres narrower than the widest,
-    and one stable row argsort extracts every rank at once.  A stable
-    sort on distance keeps equal-distance candidates in column order,
-    which is precisely the lexicographic tie-break, and the ``inf`` pad
-    sorts behind every real candidate.  Every centre must own at least
-    ``k`` pairs (guaranteed: widened blocks never reach this path), so
-    the pad can never be selected.
+    The pairs scatter into a dense ``(centres, max_width)`` matrix (one
+    vectorised store — the column *is* the local candidate index),
+    padded with ``+inf`` for centres narrower than the widest, and
+    ``repro.geometry.ops._knn_from_dists`` — the one shared top-k rule —
+    picks from it, so the result is bit-identical to the serial
+    reference given identical distance bits.  Every centre must own at
+    least ``k`` pairs (guaranteed: widened blocks never reach this
+    path), so the pad can never be selected.
     """
     num_centers = len(pairs_per_center)
     width = int(pairs_per_center.max()) if num_centers else 0
     dense = np.full((num_centers, width), np.inf)
     dense[center_of_pair, cand_local] = d2
-    order = np.argsort(dense, axis=1, kind="stable")
-    return np.ascontiguousarray(order[:, :k])
+    return exact_ops._knn_from_dists(dense, k)
 
 
 def ragged_knn(
@@ -851,12 +872,6 @@ def ragged_interpolate(
     return features, trace
 
 
-def ragged_gather(
-    structure: BlockStructure,
-    features: np.ndarray,
-    neighbor_indices: np.ndarray,
-    center_indices: np.ndarray,
-) -> tuple[np.ndarray, OpTrace]:
-    """Gathering is already one fancy-indexing pass; alias the serial op
-    so the kernel registry is complete for every pipeline stage."""
-    return block_gather(structure, features, neighbor_indices, center_indices)
+#: Gathering is already one fancy-indexing pass: the ragged name is the
+#: serial op, so the kernel registry is complete for every pipeline stage.
+ragged_gather = block_gather

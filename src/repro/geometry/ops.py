@@ -314,10 +314,11 @@ def knn_search(centers: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarra
     """Exact K-nearest-neighbour indices for each centre.
 
     Neighbours are ordered nearest-first; equal distances break by
-    candidate index (a stable argsort on the distance row), so the full
-    result — including which of several equidistant boundary candidates
-    makes the cut — is deterministic and independent of how the candidate
-    row is partitioned.  That invariance is what lets the batched
+    candidate index (the (distance, index) order of
+    :func:`_knn_from_dists`), so the full result — including which of
+    several equidistant boundary candidates makes the cut — is
+    deterministic and independent of how the candidate row is
+    partitioned.  That invariance is what lets the batched
     block-parallel fast path pad candidate rows and still reproduce this
     reference bit-for-bit.
 
@@ -342,14 +343,59 @@ def knn_search(centers: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarra
 def _knn_from_dists(d2: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` columns of each row of ``d2`` by (distance, index).
 
-    The (distance, index) lexicographic order defines the result
-    uniquely, so any algorithm below returns identical bits.  Small rows
-    take one stable argsort; large rows use an O(mn + m·c log c)
-    partition: select the k-th smallest distance, close the candidate
-    set over boundary ties (every column at distance <= the k-th value
-    competes — this is what a bare ``argpartition`` gets wrong), then
-    stable-order just that closure.
+    The one place the top-k rule lives: every KNN path (serial, stacked,
+    ragged, fused) hands its distance rows to this function.  The
+    (distance, index) lexicographic order defines the result uniquely,
+    so each algorithm below returns identical bits.
+
+    Small ``k`` takes ``k`` first-minimum passes: ``argmin`` returns the
+    first column attaining the row minimum — exactly the (distance,
+    index) order — and the winner is retired by overwriting it with
+    ``inf``.  That is ``k·n`` comparisons a row against a sort's
+    ``n·log2 n``, so the passes run while ``k <= log2 n``.  They retire
+    in ``d2`` itself (the matrix is the largest array of a fused window;
+    a working copy would double it) and put the retired values back
+    before returning.  Retiring with ``inf`` is only sound while a pass
+    never has to choose among ``inf`` entries, and ``argmin`` propagates
+    NaN instead of ranking it last: a row whose ``k``-th pick is not
+    finite (``inf`` padding or real ``inf`` distances reaching into the
+    top ``k``) or that holds a NaN is recomputed by the sort, whose
+    answer is the contract.
+
+    Everything else sorts: small rows take one stable argsort; large
+    rows use an O(mn + m·c log c) partition — select the k-th smallest
+    distance, close the candidate set over boundary ties (every column
+    at distance <= the k-th value competes — this is what a bare
+    ``argpartition`` gets wrong), then stable-order just that closure.
     """
+    m, n = d2.shape
+    # The passes need 2**k <= n and a matrix they may retire columns in.
+    if not (m and n >> k and d2.flags.writeable):
+        return _knn_by_sort(d2, k)
+    rows = np.arange(m)
+    out = np.empty((m, k), dtype=np.int64)
+    picked = np.empty((m, k), dtype=d2.dtype)
+    for j in range(k):
+        col = d2.argmin(axis=1)
+        out[:, j] = col
+        picked[:, j] = d2[rows, col]
+        if j < k - 1:
+            d2[rows, col] = np.inf
+    # Un-retire, first pick last: a pass that ran out of finite entries
+    # re-picks a retired column, and the value to restore is the earliest.
+    for j in reversed(range(k - 1)):
+        d2[rows, out[:, j]] = picked[:, j]
+    # Sound rows: first pick not NaN, last pick below inf (NaN + x is NaN,
+    # and NaN < inf is False; a -inf first pick is a legitimate minimum).
+    sound = picked[:, 0] + picked[:, -1] < np.inf
+    if not sound.all():
+        out[~sound] = _knn_by_sort(d2[~sound], k)
+    return out
+
+
+def _knn_by_sort(d2: np.ndarray, k: int) -> np.ndarray:
+    """Sort/partition form of :func:`_knn_from_dists`: any ``k``, and the
+    reference answer for rows holding ``inf`` or NaN."""
     m, n = d2.shape
     if n <= 256 or 2 * k >= n:
         return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64)
@@ -383,9 +429,9 @@ def batched_knn_search(
 ) -> np.ndarray:
     """KNN over stacked problems ``(B, m, 3) × (B, n, 3)``.
 
-    Padding candidates carry ``inf`` distance, so the stable
-    distance-then-index ordering of :func:`knn_search` places them after
-    every real candidate and slice ``b`` is bit-identical to
+    Padding candidates carry ``inf`` distance, so the (distance, index)
+    order of :func:`knn_search` places them after every real candidate
+    and slice ``b`` is bit-identical to
     ``knn_search(centers[b, :num_centers[b]], candidates[b, :num_valid[b]],
     k)``.  Every slice must keep at least ``k`` real candidates.
 

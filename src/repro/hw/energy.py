@@ -6,7 +6,8 @@ Absolute constants are drawn from published 28 nm characterisations
 random gap, SRAM energy growing with macro capacity, compute energy per
 FP16 MAC — is what matters for reproducing result shapes.  The calibration
 factors below are documented knobs, fixed once against the paper's
-reported ratios (see EXPERIMENTS.md) and never varied per experiment.
+reported ratios (``repro.analysis.validation.HEADLINE_CLAIMS``) and never
+varied per experiment.
 """
 
 from __future__ import annotations

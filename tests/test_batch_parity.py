@@ -124,7 +124,11 @@ class TestBlockOpParity:
         f_fast, _ = path[4](structure, coords, centers, candidates, feats, k)
         assert np.array_equal(f_serial, f_fast)  # bit-identical weights
 
-    @pytest.mark.parametrize("gather", [bppo.block_gather_batched, ragged.ragged_gather])
+    @pytest.mark.parametrize(
+        "gather",
+        [bppo.block_gather_batched, ragged.ragged_gather],
+        ids=["block_gather_batched", "ragged_gather"],  # aliases share a __name__
+    )
     @pytest.mark.parametrize("partitioner", ("kdtree", "none"))
     def test_gather(self, partitioner, gather):
         coords = make_cloud(120, seed=9)
@@ -450,6 +454,117 @@ class TestMixedSizeFusedParity:
             assert np.array_equal(ref[0], result.sampled)
             assert np.array_equal(ref[1], result.neighbors)
             assert np.array_equal(ref[3], result.interpolated)
+
+
+def _adversarial_cloud(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "identical":  # every distance zero: argmax ties everywhere
+        return np.tile(rng.normal(size=(1, 3)), (n, 1))
+    if kind == "collinear":  # points on one line, with exact repeats
+        steps = rng.integers(0, max(2, n // 2), size=(n, 1)).astype(np.float64)
+        return rng.normal(size=(1, 3)) + steps * np.array([[1.0, 2.0, -0.5]])
+    if kind == "huge_range":  # 1e6 spread: x² + y² + z² rounds at every add
+        return rng.normal(size=(n, 3)) * np.array([1e6, 1.0, 1e-3]) + 1e6
+    if kind == "float32":  # float32-origin coordinates widened to float64
+        return rng.normal(size=(n, 3)).astype(np.float32).astype(np.float64)
+    raise AssertionError(kind)
+
+
+def _per_block_fps(structure, coords, quotas) -> np.ndarray:
+    """The serial contract: ``farthest_point_sample`` block by block."""
+    chunks = [
+        block.indices[
+            exact_ops.farthest_point_sample(coords[block.indices], int(quota))
+        ]
+        for block, quota in zip(structure.blocks, quotas)
+        if quota
+    ]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+class TestColumnFormFps:
+    """``fps_on_layout`` runs the recurrence one coordinate column at a
+    time; the picks must equal per-block ``farthest_point_sample`` where
+    the arithmetic is least forgiving."""
+
+    KINDS = ("identical", "collinear", "huge_range", "float32")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("partitioner", ("fractal", "kdtree", "uniform"))
+    @pytest.mark.parametrize("n", (1, 5, 64, 300))
+    def test_adversarial_geometry(self, kind, partitioner, n):
+        coords = _adversarial_cloud(kind, n, seed=n)
+        structure = structure_for(partitioner, coords, block_size=16)
+        quotas = bppo.allocate_samples(
+            structure.block_sizes, max(1, n // 2), clamp=True
+        )
+        layout = ragged.RaggedBlocks.from_structure(structure, coords)
+        assert np.array_equal(
+            ragged.fps_on_layout(layout, quotas),
+            _per_block_fps(structure, coords, quotas),
+        )
+
+    def test_one_point_blocks_among_big_ones(self):
+        """Singleton blocks sit between sampled neighbours: their segment
+        is one slot wide and finishes on the seed pick."""
+        from repro.core.blocks import Block, BlockStructure, PartitionCost
+
+        sizes = [1, 40, 1, 1, 17, 1]
+        bounds = np.cumsum([0] + sizes)
+        blocks = [Block(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        structure = BlockStructure(
+            num_points=int(bounds[-1]),
+            blocks=blocks,
+            search_spaces=[b.indices.copy() for b in blocks],
+            cost=PartitionCost(),
+        )
+        coords = make_cloud(int(bounds[-1]), seed=4, duplicates=True)
+        quotas = np.array([1, 40, 0, 1, 9, 1])
+        layout = ragged.RaggedBlocks.from_structure(structure, coords)
+        assert np.array_equal(
+            ragged.fps_on_layout(layout, quotas),
+            _per_block_fps(structure, coords, quotas),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 150), min_size=2, max_size=5),
+        rates=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=5, max_size=5),
+        seed=st.integers(0, 1000),
+    )
+    def test_fused_layout_with_unequal_quotas(self, sizes, rates, kinds, seed):
+        """Clouds of different sizes, geometries and sampling rates in
+        one fused layout: every cloud's slice is its own serial result."""
+        clouds = [
+            _adversarial_cloud(kind, n, seed + i)
+            for i, (n, kind) in enumerate(zip(sizes, kinds))
+        ]
+        structures = [structure_for("fractal", c, block_size=16) for c in clouds]
+        quotas = [
+            bppo.allocate_samples(s.block_sizes, max(1, int(rate * n)), clamp=True)
+            for s, rate, n in zip(structures, rates, sizes)
+        ]
+        fused = ragged.RaggedBlocks.concatenate(
+            [ragged.RaggedBlocks.from_structure(s, c)
+             for s, c in zip(structures, clouds)]
+        )
+        picked = ragged.fps_on_layout(fused, np.concatenate(quotas))
+        expected = [
+            _per_block_fps(s, c, q) + offset
+            for s, c, q, offset in zip(
+                structures, clouds, quotas, fused.group_point_offsets
+            )
+        ]
+        assert np.array_equal(picked, np.concatenate(expected))
+
+    def test_layout_keeps_row_view_of_columns(self):
+        coords = make_cloud(50, seed=2)
+        structure = structure_for("kdtree", coords)
+        layout = ragged.RaggedBlocks.from_structure(structure, coords)
+        assert layout.columns.shape == (3, 50)
+        assert layout.columns.flags.c_contiguous
+        assert np.array_equal(layout.coords, coords[layout.perm])
 
 
 @pytest.mark.slow

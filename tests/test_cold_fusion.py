@@ -133,12 +133,20 @@ class TestBuildDispatch:
 
     def test_cost_model_prefers_fused_at_dense_quotas(self):
         partitioner = get_partitioner("kdtree", max_points_per_block=128)
-        # One sample per expected block or more: fusion wins.
-        assert dispatch.choose_build_kernel(partitioner, 1024, 256) == "fused"
-        # Far fewer samples than blocks: the eager per-leaf candidate is
+        # Up to two expected blocks with a sample for each: the per-leaf
+        # loop is the FPS kernel auto would pick anyway, fusion ties it
+        # and spares a dispatch.
+        assert dispatch.choose_build_kernel(partitioner, 256, 64) == "fused"
+        # More blocks: the two-pass build reaches the ragged FPS, which
+        # beats every per-leaf loop.
+        assert (
+            dispatch.choose_build_kernel(partitioner, 1024, 256)
+            == "build_then_sample"
+        )
+        # Fewer samples than blocks: the eager per-leaf candidate is
         # mostly wasted, build-then-sample wins.
         assert (
-            dispatch.choose_build_kernel(partitioner, 1024, 2)
+            dispatch.choose_build_kernel(partitioner, 256, 1)
             == "build_then_sample"
         )
 
@@ -153,8 +161,8 @@ class TestBuildDispatch:
     def test_env_fills_in_for_auto(self, monkeypatch):
         partitioner = get_partitioner("kdtree", max_points_per_block=128)
         monkeypatch.setenv(dispatch.BUILD_KERNEL_ENV, "build_then_sample")
-        assert (
-            dispatch.resolve_build_kernel(partitioner, 1024, 256, "auto")
+        assert (  # the cost model alone says fused here
+            dispatch.resolve_build_kernel(partitioner, 256, 64, "auto")
             == "build_then_sample"
         )
         monkeypatch.setenv(dispatch.BUILD_KERNEL_ENV, "fused")

@@ -13,6 +13,8 @@ bit-identical kernels.  These tests pin the boundary behaviour:
   the ragged layouts riding on them.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,64 @@ class TestStackSmallStraddle:
         assert np.array_equal(s_knn, r_knn)
 
 
+def _fastest(calls: dict, repeats: int = 3) -> str:
+    """Name of the fastest callable, by best-of-``repeats`` wall time —
+    how ``benchmarks/perf/probes.py`` scores a cost model's regret."""
+    best = {}
+    for name, call in calls.items():
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        best[name] = min(times)
+    return min(best, key=best.get)
+
+
+class TestAutoMatchesTheProbeAtScale:
+    """On the paper's regime (an 8K-12K-point fractal partition, the
+    ``scene_large`` per-cloud path) auto must pick what the regret probe
+    measures fastest.  The margins are 2.5-5x, far above timer noise."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_pins(self, monkeypatch):
+        monkeypatch.delenv(dispatch.KERNEL_ENV, raising=False)
+        monkeypatch.delenv(dispatch.BUILD_KERNEL_ENV, raising=False)
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        coords = np.random.default_rng(12).random((10_000, 3)) * 10.0
+        partitioner = get_partitioner("fractal", max_points_per_block=256)
+        return partitioner, coords, partitioner(coords)
+
+    def test_auto_fps(self, scene):
+        _, coords, structure = scene
+        quotas = bppo.allocate_samples(structure.block_sizes, 2500, clamp=True)
+        picks = {
+            name: (lambda name=name: dispatch.run_op(
+                "fps", structure, coords, 2500, kernel=name))
+            for name in dispatch.KERNELS["fps"]
+        }
+        auto = dispatch.choose_kernel("fps", structure, 2500, quotas)
+        assert auto == dispatch.choose_kernel("fps", structure, 2500)
+        assert auto == _fastest(picks) == "ragged"
+
+    def test_auto_build(self, scene):
+        partitioner, coords, _ = scene
+        picks = {
+            name: (lambda name=name: dispatch.run_build(
+                partitioner, coords, 2500, kernel=name))
+            for name in dispatch.BUILD_KERNEL_NAMES[1:]
+        }
+        auto = dispatch.choose_build_kernel(partitioner, len(coords), 2500)
+        assert auto == _fastest(picks) == "build_then_sample"
+        # ... and the two-pass build reaches the dispatched FPS kernel.
+        structure, sampled, _, name = dispatch.run_build(partitioner, coords, 2500)
+        assert name == "build_then_sample"
+        reference, _ = bppo.block_fps(structure, coords, 2500)
+        assert np.array_equal(sampled, reference)
+
+
 class TestCostModel:
     """The auto chooser picks the regime holding the work mass."""
 
@@ -130,6 +190,46 @@ class TestCostModel:
         assert dispatch.choose_kernel("gather", mid, 160) == "ragged"
         big, _ = synthetic_structure(256, 4)
         assert dispatch.choose_kernel("gather", big, 512) == "loop"
+
+    def test_fps_counts_recurrence_steps_not_work_products(self):
+        """FPS has no GEMM regime: big blocks used to send it to the loop
+        (products > RAGGED_BLOCK_MAX) exactly where sharing each step
+        among 64 blocks pays most."""
+        big, _ = synthetic_structure(256, 64)
+        assert dispatch.choose_kernel("fps", big, 64 * 64) == "ragged"
+        small, _ = synthetic_structure(8, 10)
+        assert dispatch.choose_kernel("fps", small, 40) == "ragged"
+        # Two equal blocks: the other block runs no more steps than the
+        # fullest one, so a ragged step's extra passes are not repaid.
+        pair, _ = synthetic_structure(128, 2)
+        assert dispatch.choose_kernel("fps", pair, 64) == "loop"
+        # Measured quotas: one block holds nearly every step.
+        skewed = np.array([200] + [1] * 63, dtype=np.int64)
+        assert dispatch.choose_kernel("fps", big, 263, skewed) == "loop"
+
+    @pytest.mark.parametrize("op", sorted(dispatch.KERNELS))
+    def test_single_block_has_nothing_to_stack_or_fuse(self, op):
+        structure, _ = synthetic_structure(64, 1)
+        assert dispatch.choose_kernel(op, structure, 16) == "loop"
+
+    def test_one_implementation_skips_the_cost_model(self, monkeypatch):
+        """Every gather name is the same function; resolving it must not
+        pay the block-stat arithmetic (it cost more than the gather)."""
+        assert len(set(dispatch.KERNELS["gather"].values())) == 1
+        structure, _ = synthetic_structure(8, 10)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("cost model consulted")
+
+        monkeypatch.setattr(dispatch, "choose_kernel", boom)
+        name = dispatch.resolve_kernel("gather", structure, 40)
+        assert name in dispatch.KERNELS["gather"]
+        with pytest.raises(AssertionError, match="consulted"):
+            dispatch.resolve_kernel("ball_query", structure, 40)
+        # Pins and the environment still go through validation.
+        assert dispatch.resolve_kernel("gather", structure, 40, "ragged") == "ragged"
+        monkeypatch.setenv(dispatch.KERNEL_ENV, "stacked")
+        assert dispatch.resolve_kernel("gather", structure, 40) == "stacked"
 
     def test_measured_center_counts_beat_the_estimate(self):
         """Skewed measured counts flip the choice the proportional

@@ -14,6 +14,7 @@ from repro.geometry import (
     knn_search,
     pairwise_sq_dists,
 )
+from repro.geometry.ops import _knn_from_dists
 
 
 class TestPairwiseDists:
@@ -154,6 +155,80 @@ class TestKNN:
             d2 = psd(centers, cands)
             reference = np.argsort(d2, axis=1, kind="stable")[:, :5]
             assert np.array_equal(knn_search(centers, cands, 5), reference)
+
+
+def _topk_oracle(d2: np.ndarray, k: int) -> np.ndarray:
+    """Top-k by (distance, index), spelled out as a two-key sort."""
+    index = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+    return np.lexsort((index, d2), axis=1)[:, :k]
+
+
+class TestTopK:
+    """``_knn_from_dists`` is the one top-k rule every KNN path shares."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        n=st.one_of(st.integers(1, 70), st.integers(257, 300)),
+        k=st.sampled_from((1, 3, 16, None)),  # None: k == n
+        levels=st.integers(1, 6),
+        pad=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_lexsort_oracle(self, m, n, k, levels, pad, seed):
+        """Ties, duplicated candidates, ``k == n`` and ``inf`` padding:
+        whichever algorithm runs, the answer is the (distance, index)
+        order — and the caller's matrix comes back untouched."""
+        rng = np.random.default_rng(seed)
+        k = n if k is None else min(k, n)
+        # A handful of distinct distances: heavy ties at every rank.
+        d2 = rng.integers(0, levels, size=(m, n)).astype(np.float64)
+        if pad:  # ragged rows: a different inf-padded tail per row
+            real = rng.integers(max(1, n - pad * n // 4), n + 1, size=m)
+            d2[np.arange(n)[None, :] >= real[:, None]] = np.inf
+        before = d2.copy()
+        got = _knn_from_dists(d2, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _topk_oracle(before, k))
+        assert np.array_equal(d2, before)
+
+    def test_non_finite_rows_match_the_sort(self, rng):
+        """``inf`` reaching into the top k (padding wider than the real
+        row, real ``inf`` distances, all-``inf`` rows) and NaN rows fall
+        back to the sort path row by row; finite neighbours in the same
+        matrix keep the pass answer, which is the same answer."""
+        d2 = rng.random((12, 40))
+        d2[0, 2:] = np.inf           # fewer finite entries than k
+        d2[1, :] = np.inf            # nothing finite at all
+        d2[2, 5] = np.nan            # one NaN
+        d2[3, :3] = np.nan           # NaNs in the leading columns
+        d2[4, 10:] = np.inf          # inf tail, top k still finite
+        d2[5, ::2] = np.inf          # interleaved inf
+        d2[6, :] = 1.0               # one giant tie
+        d2[7, 7] = -np.inf           # a legitimate minimum
+        for k in (1, 3, 5):
+            before = d2.copy()
+            reference = np.argsort(before, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_knn_from_dists(d2, k), reference)
+            assert np.array_equal(d2, before, equal_nan=True)
+
+    def test_non_finite_cloud_through_knn_search(self, rng):
+        """`_as_cloud` still admits non-finite clouds: the public search
+        must answer them exactly as the sort did."""
+        cands = rng.normal(size=(60, 3))
+        cands[7] = np.inf
+        cands[11, 1] = np.nan
+        centers = rng.normal(size=(9, 3))
+        centers[4, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            d2 = pairwise_sq_dists(centers, cands)
+            got = knn_search(centers, cands, 3)
+        assert np.array_equal(got, np.argsort(d2, axis=1, kind="stable")[:, :3])
+
+    def test_read_only_input_is_not_written(self, rng):
+        d2 = rng.random((5, 32))
+        d2.setflags(write=False)
+        assert np.array_equal(_knn_from_dists(d2, 3), _topk_oracle(d2, 3))
 
 
 class TestInterpolation:
