@@ -697,9 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batch budget W: clouds per window (the "
                         "upper bound under --adaptive)")
     p.add_argument("--max-wait-ms", type=float, default=50.0,
-                   help="window timeout T: max ms the first cloud of a "
-                        "window waits before execution starts (the upper "
-                        "bound under --adaptive)")
+                   help="window cap T: the most ms a window stays open "
+                        "after its first cloud. Windows close earlier "
+                        "when full or as soon as the input goes quiet, "
+                        "so only a steady trickle ever waits this long "
+                        "(the upper bound under --adaptive)")
     p.add_argument("--adaptive", action="store_true",
                    help="resize W/T online from arrival rate + rolling "
                         "p95, within [1, --window] x [--min-wait-ms, "

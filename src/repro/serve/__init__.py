@@ -2,6 +2,8 @@
 
 - :mod:`repro.serve.window` — the :class:`WindowedServer` micro-batcher
   (collect up to ``W`` clouds or ``T`` ms, fuse, emit in order);
+- :mod:`repro.serve.inbox` — the puller thread, bounded queue and window
+  close rule (full / timeout / idle) both in-process servers share;
 - :mod:`repro.serve.tenancy` — the :class:`MultiTenantServer`: N client
   sessions (own pipeline, dedup window, telemetry) sharing one engine
   under deficit-round-robin fairness, with cross-tenant fused windows;

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..obs import PERCENTILES, LatencyRing, latency_percentiles
+from .inbox import FULL, IDLE, TIMEOUT
 
 __all__ = [
     "PERCENTILES",
@@ -47,6 +48,12 @@ class ServeReport:
     counts how each distinct cloud's partition was obtained — full cold
     build, delta protocol (certificate reuse or incremental patch), or
     exact cache hit.  All zero on servers predating the delta protocol.
+
+    Windows close for one of three reasons (:mod:`repro.serve.inbox`):
+    ``timeout_windows`` hit the ``max_wait`` cap, ``idle_windows`` closed
+    early because the source went quiet, the rest filled to
+    ``max_clouds``.  (A shard worker assembles its windows greedily and
+    does not say why each closed; the router books them under neither.)
     """
 
     clouds: int
@@ -66,6 +73,7 @@ class ServeReport:
     cold_clouds: int = 0
     patched_clouds: int = 0
     warm_clouds: int = 0
+    idle_windows: int = 0
 
     @property
     def clouds_per_second(self) -> float:
@@ -93,6 +101,7 @@ class ServeReport:
             f"{self.reused_clouds} reused",
             f"  windows {self.mean_occupancy:.0%} full on average, "
             f"{self.timeout_windows} closed on timeout, "
+            f"{self.idle_windows} idle, "
             f"max queue depth {self.max_queue_depth}",
         ]
         if self.cold_clouds or self.patched_clouds or self.warm_clouds:
@@ -164,6 +173,7 @@ _MERGE_SUM = frozenset(
         "singleton_clouds",
         "reused_clouds",
         "timeout_windows",
+        "idle_windows",
         "cold_clouds",
         "patched_clouds",
         "warm_clouds",
@@ -218,6 +228,7 @@ class ServeTelemetry:
         self.occupancy_sum = 0
         self.max_queue_depth = 0
         self.timeout_windows = 0
+        self.idle_windows = 0
         self.last_queue_depth = 0
         self.cold_clouds = 0
         self.patched_clouds = 0
@@ -239,13 +250,15 @@ class ServeTelemetry:
         singletons: int,
         reused: int,
         queue_depth: int,
-        timed_out: bool,
+        reason: str = FULL,
         cold: int = 0,
         patched: int = 0,
         warm: int = 0,
     ) -> None:
         """One window executed (counts, not timings — latency is per cloud).
 
+        ``reason`` is why the window closed: ``full``, ``timeout`` or
+        ``idle`` (:meth:`repro.serve.inbox.Inbox.gather`).
         ``cold``/``patched``/``warm`` split the window's distinct clouds
         by partition source (zero when the serving layer predates the
         delta protocol or the engine runs without it).
@@ -261,8 +274,10 @@ class ServeTelemetry:
         self.occupancy_sum += size
         self.last_queue_depth = queue_depth
         self.max_queue_depth = max(self.max_queue_depth, queue_depth)
-        if timed_out:
+        if reason == TIMEOUT:
             self.timeout_windows += 1
+        elif reason == IDLE:
+            self.idle_windows += 1
 
     # -- reading -------------------------------------------------------------
 
@@ -287,6 +302,7 @@ class ServeTelemetry:
             f"p50/p95/p99 {p50 * 1e3:.2f}/{p95 * 1e3:.2f}/{p99 * 1e3:.2f} ms | "
             f"queue {self.last_queue_depth} | "
             f"occupancy {self.mean_occupancy:.0%} | "
+            f"timeout/idle {self.timeout_windows}/{self.idle_windows} | "
             f"fused {fused_ratio:.0%} | reused {self.reused_clouds}"
             + (
                 f" | cold/patched/warm {self.cold_clouds}/"
@@ -323,4 +339,5 @@ class ServeTelemetry:
             cold_clouds=self.cold_clouds,
             patched_clouds=self.patched_clouds,
             warm_clouds=self.warm_clouds,
+            idle_windows=self.idle_windows,
         )

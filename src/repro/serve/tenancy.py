@@ -38,8 +38,6 @@ mates affect latency and throughput, never a bit
 from __future__ import annotations
 
 import dataclasses
-import queue
-import threading
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -50,6 +48,7 @@ from .. import obs
 from ..runtime.cache import result_key
 from ..runtime.executor import BatchExecutor, CloudResult, PipelineSpec, _as_cloud
 from .controller import AdaptiveWindow, ControllerConfig
+from .inbox import FULL, Inbox
 from .planner import WindowPlan
 from .telemetry import ServeReport, ServeTelemetry
 from .window import WindowConfig
@@ -60,8 +59,6 @@ __all__ = [
     "TenantResult",
     "TenantSpec",
 ]
-
-_DONE = object()
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,7 @@ class MultiTenantServer:
             sessions.
         window: static shared window limits (default
             :class:`WindowConfig`); ``W`` is the admission budget of one
-            round, ``T`` the assembly timeout of :meth:`serve`.
+            round, ``T`` the cap on how long :meth:`serve` assembles it.
         adaptive: give each tenant an :class:`AdaptiveWindow`; the
             shared window is then the aggregate of the per-tenant
             policies (sum of ``W``s, min of ``T``s — the most latency-
@@ -456,7 +453,7 @@ class MultiTenantServer:
         return request.seq
 
     def drain(
-        self, *, now: float | None = None, timed_out: bool = False
+        self, *, now: float | None = None, reason: str = FULL
     ) -> list[TenantResult]:
         """Run one admission + execution round over the queued backlog.
 
@@ -469,8 +466,9 @@ class MultiTenantServer:
         nothing is queued.
 
         ``now`` stamps the emissions (defaults to the server clock read
-        *after* execution); ``timed_out`` is bookkeeping from the
-        streaming loop.
+        *after* execution); ``reason`` is why the streaming loop closed
+        the window (``full`` / ``timeout`` / ``idle``), booked on every
+        admitted tenant's telemetry.
         """
         queues = {
             name: [request.cost for request in session.queue]
@@ -500,7 +498,12 @@ class MultiTenantServer:
         # controller observation sequence deterministic.
         exec_start = self._clock()
         with (
-            obs.span("serve.drain", clouds=len(batch), tenants=len(admitted))
+            obs.span(
+                "serve.drain",
+                clouds=len(batch),
+                tenants=len(admitted),
+                closed=reason,
+            )
             if obs.enabled()
             else obs.NULL_SPAN
         ):
@@ -543,7 +546,7 @@ class MultiTenantServer:
                 singletons=plan.singleton_clouds,
                 reused=reused[name],
                 queue_depth=len(session.queue),
-                timed_out=timed_out,
+                reason=reason,
                 cold=split.count("cold"),
                 patched=split.count("patched") + split.count("reused"),
                 warm=split.count("warm"),
@@ -668,88 +671,37 @@ class MultiTenantServer:
     ) -> Iterator[TenantResult]:
         """Serve an unbounded ``(tenant, cloud)`` stream.
 
-        The shared window opens at the first arrival and closes after
-        the aggregate ``W`` clouds are backlogged or ``T`` elapses
-        (:meth:`limits` — adaptive when the server is); each close runs
-        one :meth:`drain` round, so fairness applies whenever a burst
-        outruns the budget and the backlog carries over.  Results yield
-        in per-tenant submission order; the source may be unbounded
-        (``engine.in_flight`` bounds the pull-ahead) and closing the
-        generator stops the puller thread.
+        The shared window opens at the first arrival (or on the backlog
+        the last round left) and closes once the aggregate ``W`` clouds
+        are backlogged, the source goes quiet, or ``T`` elapses — the
+        single-stream rule (:meth:`repro.serve.inbox.Inbox.gather`),
+        with :meth:`limits` giving ``(W, T)``, adaptive when the server
+        is.  Each close runs one :meth:`drain` round, so fairness applies
+        whenever a burst outruns the budget and the backlog carries
+        over.  Results yield in per-tenant submission order; the source
+        may be unbounded (``engine.in_flight`` bounds the pull-ahead)
+        and closing the generator stops the puller thread.
         """
-        inbox: queue.Queue = queue.Queue(maxsize=max(1, self.engine.in_flight))
-        stop = threading.Event()
 
-        def put(item) -> None:
-            while not stop.is_set():
-                try:
-                    inbox.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
+        def ingest(tagged, arrived: float) -> None:
+            tenant, cloud = tagged
+            self.submit(tenant, cloud, arrived=arrived)
 
-        def pull() -> None:
-            try:
-                for tagged in requests:
-                    put((tagged, self._clock()))
-                    if stop.is_set():
-                        return
-            except BaseException as exc:  # re-raised on the consumer side
-                put((_DONE, exc))
-            else:
-                put((_DONE, None))
-
-        puller = threading.Thread(
-            target=pull, name="repro-serve-tenants-pull", daemon=True
-        )
-        puller.start()
-        source_error: BaseException | None = None
-
-        def ingest(item) -> None:
-            (tenant, cloud), when = item
-            self.submit(tenant, cloud, arrived=when)
-
-        try:
-            exhausted = False
-            while not exhausted or self.backlog:
-                if not self.backlog:
-                    item = inbox.get()
-                    if item[0] is _DONE:
-                        source_error = item[1]
-                        break
-                    ingest(item)
-                budget, wait = self.limits()
-                deadline = obs.now() + wait
-                timed_out = False
-                while not exhausted and self.backlog < budget:
-                    remaining = deadline - obs.now()
-                    if remaining <= 0:
-                        timed_out = True
-                        break
-                    try:
-                        item = inbox.get(timeout=remaining)
-                    except queue.Empty:
-                        timed_out = True
-                        break
-                    if item[0] is _DONE:
-                        source_error = item[1]
-                        exhausted = True
-                        break
-                    ingest(item)
-                yield from self.drain(timed_out=timed_out)
+        with Inbox(
+            requests,
+            capacity=self.engine.in_flight,
+            name="repro-serve-tenants-pull",
+            clock=self._clock,
+        ) as inbox:
+            while (
+                reason := inbox.gather(ingest, self.limits, self.backlog)
+            ) is not None:
+                yield from self.drain(reason=reason)
                 if on_stats is not None:
                     for session in self._sessions.values():
                         line = session.telemetry.tick()
                         if line is not None:
                             on_stats(line)
-            if source_error is not None:
-                raise source_error
-        finally:
-            stop.set()
-            # Same bound as WindowedServer.serve: put() polls stop every
-            # 50 ms; a source blocked mid-iteration is abandoned as a
-            # daemon rather than hanging shutdown.
-            puller.join(timeout=1.0)
 
     def close(self) -> None:
         """Join the shared engine's persistent worker pool."""

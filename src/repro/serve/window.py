@@ -4,9 +4,9 @@
 can plan fused buckets, so the streaming path — the one that actually
 models sensor and serving traffic — never benefited from fusion.  The
 :class:`WindowedServer` closes that gap with the classic serving trade:
-hold each request for at most ``T`` milliseconds, batch whatever arrived
-(up to ``W`` clouds), and run the batch through the same bin-packing
-planner and fused kernels as the offline path.
+batch whatever arrives together (up to ``W`` clouds, holding a request
+at most ``T`` milliseconds), and run the batch through the same
+bin-packing planner and fused kernels as the offline path.
 
 The loop:
 
@@ -14,9 +14,16 @@ The loop:
    (capacity ``engine.in_flight``), so a slow consumer stalls the pull,
    never memory; including the window being assembled, at most
    ``in_flight + max_clouds`` clouds are ever held ahead of emission;
-2. the scheduler opens a window at the first arrival and closes it after
-   ``window.max_clouds`` clouds or ``window.max_wait`` seconds,
-   whichever comes first — occupancy rides the traffic rate;
+2. the scheduler opens a window at the first arrival and keeps taking
+   what the puller delivers until the window holds
+   ``window.max_clouds`` clouds (*full*), the source goes quiet — the
+   queue is empty and stays empty for a sub-millisecond grace (*idle*) —
+   or ``window.max_wait`` seconds have passed (*timeout*), whichever
+   comes first.  The loop is work-conserving: an idle engine never waits
+   for company that is not coming, and occupancy rides the load by
+   itself — while a window executes, the next one's clouds queue up, so
+   windows grow as the engine gets busier (steps 1–2 are
+   :class:`~repro.serve.inbox.Inbox`, shared with the tenant server);
 3. the window dedups exact repeats (against this window *and* the last
    ``engine.reuse_window`` distinct clouds of the stream), plans fused
    buckets for the rest, executes via the engine's fused machinery, and
@@ -36,8 +43,7 @@ lives one layer up in :mod:`repro.serve.tenancy`.
 from __future__ import annotations
 
 import dataclasses
-import queue
-import threading
+import itertools
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -48,21 +54,22 @@ from .. import obs
 from ..runtime.cache import result_key
 from ..runtime.executor import BatchExecutor, CloudResult, PipelineSpec, _as_cloud
 from .controller import AdaptiveWindow
+from .inbox import Inbox
 from .telemetry import ServeTelemetry
 
 __all__ = ["WindowConfig", "WindowedServer"]
 
-#: Queue markers from the puller thread: source exhausted / source raised.
-_DONE = object()
-
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Micro-batching window: close after ``max_clouds`` arrivals or
-    ``max_wait`` seconds past the first arrival, whichever comes first.
+    """Micro-batching window: close after ``max_clouds`` arrivals, when
+    the source goes quiet, or ``max_wait`` seconds past the first
+    arrival, whichever comes first.
 
-    ``max_wait`` is the latency an idle-ish stream pays for batching;
     ``max_clouds`` is the biggest fused plan a busy stream can build.
+    ``max_wait`` is a cap, not a price: only a trickle whose every gap
+    is shorter than the idle grace (:data:`repro.serve.inbox.IDLE_GRACE`)
+    holds a window open that long; a paced stream pays the grace.
     """
 
     max_clouds: int = 16
@@ -156,88 +163,35 @@ class WindowedServer:
     ) -> Iterator[CloudResult]:
         """Yield one :class:`CloudResult` per cloud, in submission order.
 
-        ``on_stats`` (e.g. ``print``) receives the periodic telemetry
-        line every ``telemetry.every`` windows.  The source may be
-        unbounded; closing the generator stops the puller thread.
+        Windows close full, idle or on timeout (see the module
+        docstring); the reason is booked in ``telemetry``.  ``on_stats``
+        (e.g. ``print``) receives the periodic telemetry line every
+        ``telemetry.every`` windows.  The source may be unbounded;
+        closing the generator stops the puller thread.
         """
         pipeline = pipeline or PipelineSpec()
-        inbox: queue.Queue = queue.Queue(maxsize=max(1, self.engine.in_flight))
-        stop = threading.Event()
-
-        def put(item) -> None:
-            while not stop.is_set():
-                try:
-                    inbox.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
-
-        def pull() -> None:
-            try:
-                for cloud in clouds:
-                    put((cloud, obs.now()))
-                    if stop.is_set():
-                        return
-            except BaseException as exc:  # re-raised on the consumer side
-                put((_DONE, exc))
-            else:
-                put((_DONE, None))
-
-        puller = threading.Thread(
-            target=pull, name="repro-serve-pull", daemon=True
-        )
-        puller.start()
         # Cross-window dedup: content -> canonical CloudResult of the last
         # `reuse_window` distinct clouds (same bound as stream()).
         done: OrderedDict[bytes, CloudResult] = OrderedDict()
-        next_index = 0
-        source_error: BaseException | None = None
-        try:
-            exhausted = False
-            while not exhausted:
-                item = inbox.get()
-                if item[0] is _DONE:
-                    source_error = item[1]
-                    break
-                batch = [self._admit(item, next_index)]
-                next_index += 1
-                max_clouds, max_wait = self._limits()
-                deadline = obs.now() + max_wait
-                timed_out = False
-                while len(batch) < max_clouds:
-                    remaining = deadline - obs.now()
-                    if remaining <= 0:
-                        timed_out = True
-                        break
-                    try:
-                        item = inbox.get(timeout=remaining)
-                    except queue.Empty:
-                        timed_out = True
-                        break
-                    if item[0] is _DONE:
-                        source_error = item[1]
-                        exhausted = True
-                        break
-                    batch.append(self._admit(item, next_index))
-                    next_index += 1
+        batch: list[_Arrival] = []
+        index = itertools.count()
+
+        def admit(cloud, arrived: float) -> None:
+            batch.append(self._admit(cloud, arrived, next(index)))
+
+        with Inbox(
+            clouds, capacity=self.engine.in_flight, name="repro-serve-pull"
+        ) as inbox:
+            while (reason := inbox.gather(admit, self._limits)) is not None:
                 yield from self._run_window(
-                    batch, pipeline, done, inbox.qsize(), timed_out, on_stats
+                    batch, pipeline, done, inbox.depth, reason, on_stats
                 )
-            if source_error is not None:
-                raise source_error
-        finally:
-            stop.set()
-            # Bounded: put() polls the stop event every 50 ms, so the
-            # puller exits promptly unless the *source* iterator itself
-            # is blocked — then the timeout abandons the daemon thread
-            # rather than hanging shutdown.
-            puller.join(timeout=1.0)
+                batch.clear()
 
     # -- internals -----------------------------------------------------------
 
-    def _admit(self, item: tuple, index: int) -> _Arrival:
-        """Normalise one queued arrival and key it for dedup."""
-        cloud, arrived = item
+    def _admit(self, cloud: object, arrived: float, index: int) -> _Arrival:
+        """Normalise one arrival and key it for dedup."""
         coords, features = _as_cloud(cloud)
         key = (
             result_key(coords, features) if self.engine.reuse_results else None
@@ -252,7 +206,7 @@ class WindowedServer:
         pipeline: PipelineSpec,
         done: OrderedDict,
         queue_depth: int,
-        timed_out: bool,
+        reason: str,
         on_stats,
     ) -> Iterator[CloudResult]:
         """Dedup, plan, execute, and emit one closed window."""
@@ -262,7 +216,7 @@ class WindowedServer:
                 "serve.window",
                 start=first_arrival,
                 clouds=len(batch),
-                timed_out=timed_out,
+                closed=reason,
             )
             if obs.enabled()
             else obs.NULL_SPAN
@@ -322,7 +276,7 @@ class WindowedServer:
                 singletons=plan.singleton_clouds,
                 reused=len(replays) + len(dup_of),
                 queue_depth=queue_depth,
-                timed_out=timed_out,
+                reason=reason,
                 cold=sources.count("cold"),
                 patched=sources.count("patched") + sources.count("reused"),
                 warm=sources.count("warm"),

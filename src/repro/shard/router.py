@@ -372,7 +372,7 @@ class ShardRouter:
             shard.windows += 1
             shard.busy_seconds += stats.pop("seconds", 0.0)
             self.telemetry.record_window(
-                queue_depth=len(self._pending), timed_out=False, **stats
+                queue_depth=len(self._pending), **stats
             )
         elif kind in ("ready", "drained"):
             pass  # late handshake/drain echo (already consumed)

@@ -30,6 +30,7 @@ from repro.serve import (
     first_fit_buckets,
     generate,
     generate_tenants,
+    inbox,
     latency_percentiles,
     plan_buckets,
     read_stream,
@@ -262,29 +263,92 @@ class TestWindowedServeParity:
 
 
 class TestWindowTimeout:
-    def test_window_closes_on_timeout_not_count(self):
-        """A slow source never fills W; the deadline closes windows and
-        parity still holds for every emitted result."""
-        clouds = [make_cloud(n, seed=2300 + n) for n in (40, 44, 48, 52)]
+    """The close rule: ``max_clouds``, ``max_wait``, or a quiet source."""
+
+    CLOUDS = [make_cloud(n, seed=2300 + n) for n in (40, 44, 48, 52)]
+
+    def serve_slow(self, max_wait):
+        """Four clouds 80 ms apart through a 16-cloud window."""
 
         def slow():
-            for cloud in clouds:
+            for cloud in self.CLOUDS:
                 yield cloud
                 time.sleep(0.08)
 
         engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
         telemetry = ServeTelemetry(window_capacity=16)
         server = WindowedServer(
-            engine, WindowConfig(max_clouds=16, max_wait=0.02),
+            engine, WindowConfig(max_clouds=16, max_wait=max_wait),
             telemetry=telemetry,
         )
-        pipeline = TestWindowedServeParity.PIPELINE
-        served = list(server.serve(slow(), pipeline))
-        TestWindowedServeParity().assert_serial_parity(clouds, served, "kdtree")
+        started = time.perf_counter()
+        served = list(server.serve(slow(), TestWindowedServeParity.PIPELINE))
+        elapsed = time.perf_counter() - started
+        TestWindowedServeParity().assert_serial_parity(
+            self.CLOUDS, served, "kdtree"
+        )
+        assert telemetry.occupancy_sum == len(self.CLOUDS)
+        return telemetry, elapsed
+
+    def test_slow_source_closes_idle_not_on_timeout(self):
+        """A slow source never fills W; windows close as soon as it goes
+        quiet, not after ``max_wait``."""
+        telemetry, elapsed = self.serve_slow(max_wait=5.0)
+        assert telemetry.windows >= 2
+        assert telemetry.idle_windows == telemetry.windows
+        assert telemetry.timeout_windows == 0
+        # 0.32 s of source gaps; waiting out one window would take 5 s.
+        assert elapsed < 2.5
+
+    def test_max_wait_still_caps_the_window(self, monkeypatch):
+        """With the grace above ``max_wait`` every gap lands inside it,
+        and the deadline closes the windows."""
+        monkeypatch.setattr(inbox, "IDLE_GRACE", 1.0)
+        telemetry, _ = self.serve_slow(max_wait=0.02)
         # The 16-cloud budget was never the closing condition.
         assert telemetry.windows >= 2
         assert telemetry.timeout_windows >= 1
-        assert telemetry.occupancy_sum == len(clouds)
+
+    def test_mixed_gaps_hit_every_close_reason(self, monkeypatch):
+        """Burst, pause, trickle: one stream closes windows full, idle
+        and on timeout — and is still ``run(fuse=True)`` bit for bit."""
+        monkeypatch.setattr(inbox, "IDLE_GRACE", 0.1)
+        clouds = [make_cloud(40 + n, seed=2700 + n) for n in range(17)]
+
+        def source():
+            yield from clouds[:8]  # a burst fills W = 8
+            yield from clouds[8:10]
+            time.sleep(0.3)  # ... then the source goes quiet
+            for cloud in clouds[10:]:  # gaps inside the grace, past T
+                yield cloud
+                time.sleep(0.05)
+
+        engine = BatchExecutor(
+            "kdtree", block_size=16, max_workers=1, fuse_max_spread=None
+        )
+        telemetry = ServeTelemetry(window_capacity=8)
+        server = WindowedServer(
+            engine, WindowConfig(max_clouds=8, max_wait=0.3),
+            telemetry=telemetry,
+        )
+        pipeline = TestWindowedServeParity.PIPELINE
+        served = list(server.serve(source(), pipeline))
+        assert telemetry.timeout_windows >= 1
+        assert telemetry.idle_windows >= 1
+        assert (
+            telemetry.windows
+            > telemetry.timeout_windows + telemetry.idle_windows
+        )
+        fused = BatchExecutor(
+            "kdtree", block_size=16, max_workers=1, fuse=True,
+            fuse_max_spread=None,
+        ).run(clouds, pipeline)
+        assert [r.index for r in served] == list(range(len(clouds)))
+        for a, b in zip(served, fused.results):
+            assert np.array_equal(a.sampled, b.sampled)
+            assert np.array_equal(a.neighbors, b.neighbors)
+            assert np.array_equal(a.grouped, b.grouped)
+            assert np.array_equal(a.interpolated, b.interpolated)
 
     def test_fast_source_closes_on_count(self):
         clouds = [make_cloud(40 + n, seed=2400 + n) for n in range(6)]
@@ -378,7 +442,7 @@ class TestTelemetry:
         for _ in range(4):
             telemetry.record_window(
                 size=4, buckets=1, fused=3, singletons=1, reused=0,
-                queue_depth=2, timed_out=False,
+                queue_depth=2,
             )
             line = telemetry.tick()
             if line:
@@ -389,9 +453,9 @@ class TestTelemetry:
     def test_report_aggregates(self):
         telemetry = ServeTelemetry(window_capacity=4)
         telemetry.record_window(size=4, buckets=1, fused=4, singletons=0,
-                                reused=0, queue_depth=3, timed_out=False)
+                                reused=0, queue_depth=3)
         telemetry.record_window(size=2, buckets=0, fused=0, singletons=1,
-                                reused=1, queue_depth=1, timed_out=True)
+                                reused=1, queue_depth=1, reason="timeout")
         for ms in (1, 2, 3, 4, 5, 6):
             telemetry.record_latency(ms / 1000)
         report = telemetry.report(wall_seconds=0.5)
@@ -403,6 +467,18 @@ class TestTelemetry:
         assert report.fused_ratio == pytest.approx(0.8)
         assert report.clouds_per_second == pytest.approx(12.0)
         assert "p50/p95/p99" in report.format()
+
+    def test_close_reasons_counted(self):
+        telemetry = ServeTelemetry(window_capacity=4)
+        for reason in ("full", "idle", "timeout", "idle"):
+            telemetry.record_window(size=2, buckets=1, fused=2, singletons=0,
+                                    reused=0, queue_depth=0, reason=reason)
+        assert "timeout/idle 1/2" in telemetry.stats_line()
+        report = telemetry.report(wall_seconds=1.0)
+        assert (report.timeout_windows, report.idle_windows) == (1, 2)
+        assert "1 closed on timeout, 2 idle" in report.format()
+        merged = report + report
+        assert (merged.timeout_windows, merged.idle_windows) == (2, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="window_capacity"):

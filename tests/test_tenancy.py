@@ -10,6 +10,8 @@ On top of that the scheduler carries a starvation bound: a backlogged
 tenant is never passed over in two consecutive admission rounds.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from repro.serve import (
     MultiTenantServer,
     TenantSpec,
     WindowConfig,
+    inbox,
 )
 
 PIPELINE = PipelineSpec(radius=0.4, group_size=8)
@@ -439,6 +442,77 @@ class TestAdaptiveTenancy:
             controller = server.session(name).controller
             assert config.min_clouds <= controller.max_clouds <= config.max_clouds
             assert config.min_wait <= controller.max_wait <= config.max_wait
+
+
+class TestStreamingCloseRule:
+    """``serve()`` closes the shared window at the budget, at ``max_wait``
+    or when the source goes quiet — the single-stream rule, per tenant."""
+
+    CLOUDS = {
+        "a": [make_cloud(n, seed=3600 + n) for n in (40, 52, 64, 44, 58, 66)],
+        "b": [make_cloud(n, seed=3700 + n) for n in (42, 56, 60, 46, 50, 62)],
+    }
+
+    def serve(self, *, max_clouds, max_wait, gap=0.0, **kwargs):
+        """Interleave both tenants' clouds ``gap`` seconds apart; returns
+        ``(merged report, elapsed seconds)`` after checking parity."""
+
+        def source():
+            for pair in zip(*self.CLOUDS.values()):
+                for name, cloud in zip(self.CLOUDS, pair):
+                    yield name, cloud
+                    time.sleep(gap)
+
+        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        with MultiTenantServer(
+            engine,
+            [TenantSpec(name, PIPELINE) for name in self.CLOUDS],
+            window=WindowConfig(max_clouds=max_clouds, max_wait=max_wait),
+            **kwargs,
+        ) as server:
+            started = time.perf_counter()
+            results = list(server.serve(source()))
+            elapsed = time.perf_counter() - started
+            assert server.backlog == 0
+            reports = server.reports(elapsed)
+        TestCrossTenantParity().assert_tenant_parity(self.CLOUDS, results)
+        return reports, elapsed
+
+    def test_slow_source_closes_idle(self):
+        reports, elapsed = self.serve(max_clouds=16, max_wait=5.0, gap=0.04)
+        for report in reports.values():
+            assert report.windows >= 2
+            assert report.idle_windows == report.windows
+            assert report.timeout_windows == 0
+        # 0.48 s of source gaps; waiting out one window would take 5 s.
+        assert elapsed < 2.5
+
+    def test_max_wait_still_caps_the_window(self, monkeypatch):
+        monkeypatch.setattr(inbox, "IDLE_GRACE", 1.0)
+        reports, _ = self.serve(max_clouds=16, max_wait=0.02, gap=0.04)
+        assert sum(r.timeout_windows for r in reports.values()) >= 1
+
+    def test_fast_source_fills_the_budget(self):
+        reports, _ = self.serve(max_clouds=4, max_wait=5.0)
+        for report in reports.values():
+            # 12 requests, 4 a round, 2 of each tenant in every round.
+            assert report.windows == 3
+            assert report.mean_occupancy == 0.5
+            assert report.timeout_windows == report.idle_windows == 0
+
+    def test_backlog_carries_over_without_waiting(self):
+        """A quantum below every cloud's cost admits about one cloud per
+        tenant per round, so each window leaves a backlog behind: the
+        next one must start from it (no blocking for a first arrival,
+        none at all once the source has ended) and drain it to the end."""
+        reports, elapsed = self.serve(
+            max_clouds=4, max_wait=5.0, quantum_points=30.0
+        )
+        for report in reports.values():
+            assert report.clouds == 6
+            assert report.windows > 3  # fewer than the budget per round
+            assert report.timeout_windows == 0
+        assert elapsed < 2.5
 
 
 class TestPersistentPoolSharing:
