@@ -1,18 +1,14 @@
 """Extension bench — multi-tenant shared-engine serving vs isolation,
-plus the adaptive-controller A/B.
+plus DRR fairness.
 
-Three claims from the PR-5 ISSUE, each asserted:
+Two claims, each asserted:
 
 1. **Sharing wins.** On a seeded 3-tenant mix, one shared engine with
    cross-tenant fused windows beats three per-tenant isolated windowed
    servers (each fusing only its own third of the traffic, run
    concurrently on the same machine as co-located deployments would be)
    by >= 1.3x wall-clock — and stays bit-identical per tenant.
-2. **Adaptivity cuts idle tails for free.** The adaptive controller's
-   p95 on a paced idle stream improves on the static window's, while
-   firehose throughput stays within noise of static (no busy-stream
-   loss).
-3. **Fairness bounds the trickle tenant.** With a bursty and a trickle
+2. **Fairness bounds the trickle tenant.** With a bursty and a trickle
    tenant sharing the engine under deficit-round-robin admission, the
    trickle tenant's p95 stays within a small multiple of its lone-tenant
    p95 instead of queueing behind the burst.
@@ -30,8 +26,6 @@ import pytest
 from repro.analysis import format_table
 from repro.runtime import BatchExecutor, PipelineSpec
 from repro.serve import (
-    AdaptiveWindow,
-    ControllerConfig,
     LoadSpec,
     MultiTenantServer,
     TenantSpec,
@@ -145,65 +139,8 @@ def bench_shared_vs_isolated(rows):
     return speedup
 
 
-def bench_adaptive_ab(rows):
-    """Claim 2: adaptive idle p95 improves, busy throughput holds."""
-    bounds = ControllerConfig(
-        min_clouds=1, max_clouds=16, min_wait=0.002, max_wait=0.05
-    )
-    idle = LoadSpec(clouds=40, min_points=64, max_points=128, dup_rate=0.0,
-                    interval=0.012, seed=2)
-    busy = LoadSpec(clouds=200, min_points=64, max_points=128, dup_rate=0.0,
-                    seed=3)
-
-    def run(spec, adaptive):
-        engine = BatchExecutor("kdtree", block_size=BLOCK, max_workers=WORKERS)
-        controller = AdaptiveWindow(bounds) if adaptive else None
-        with WindowedServer(
-            engine,
-            WindowConfig(max_clouds=bounds.max_clouds,
-                         max_wait=bounds.max_wait),
-            controller=controller,
-        ) as server:
-            start = time.perf_counter()
-            results = list(server.serve(generate(spec), PIPELINE))
-            wall = time.perf_counter() - start
-            p95 = server.telemetry.percentiles()[1]
-            return wall, p95, results
-
-    # Idle stream: paced arrivals, p95 is the figure of merit (best-of-3
-    # on the tail, since pacing fixes the wall).
-    _, (_, p95_static, res_static) = best_time(
-        lambda: run(idle, adaptive=False)
-    )
-    _, (_, p95_adaptive, res_adaptive) = best_time(
-        lambda: run(idle, adaptive=True)
-    )
-    for a, b in zip(res_static, res_adaptive):
-        assert np.array_equal(a.interpolated, b.interpolated)
-
-    # Busy stream: firehose, throughput is the figure of merit.
-    wall_static, _, _ = best_time(lambda: run(busy, adaptive=False))[1]
-    wall_adaptive, _, _ = best_time(lambda: run(busy, adaptive=True))[1]
-
-    idle_gain = p95_static / p95_adaptive if p95_adaptive > 0 else float("inf")
-    busy_ratio = wall_static / wall_adaptive
-    rows.append(["idle (12 ms pace)", "static W=16/T=50ms",
-                 f"p95 {p95_static * 1e3:.1f} ms", "-", "1.00x"])
-    rows.append(["idle (12 ms pace)", "adaptive",
-                 f"p95 {p95_adaptive * 1e3:.1f} ms", "-",
-                 f"{idle_gain:.2f}x"])
-    rows.append(["busy (firehose)", "static W=16/T=50ms",
-                 f"{wall_static * 1e3:.0f}",
-                 f"{busy.clouds / wall_static:.0f}", "1.00x"])
-    rows.append(["busy (firehose)", "adaptive",
-                 f"{wall_adaptive * 1e3:.0f}",
-                 f"{busy.clouds / wall_adaptive:.0f}",
-                 f"{busy_ratio:.2f}x"])
-    return idle_gain, busy_ratio
-
-
 def bench_fairness(rows):
-    """Claim 3: the trickle tenant's p95 is bounded under a burst."""
+    """Claim 2: the trickle tenant's p95 is bounded under a burst."""
     rng = np.random.default_rng(4)
     bursty_clouds = [rng.normal(size=(96, 3)) for _ in range(180)]
     trickle_clouds = [rng.normal(size=(96, 3)) for _ in range(20)]
@@ -273,27 +210,23 @@ def bench_fairness(rows):
 def run_bench():
     rows = []
     speedup = bench_shared_vs_isolated(rows)
-    idle_gain, busy_ratio = bench_adaptive_ab(rows)
     inflation, trickle_p95, bursty_p95 = bench_fairness(rows)
     table = format_table(
         ["scenario", "engine", "ms / p95", "clouds / s", "speedup"],
         rows,
-        title="multi-tenant serving: shared fused engine, adaptive "
-              "windows, DRR fairness (kdtree, warm caches)",
+        title="multi-tenant serving: shared fused engine, DRR fairness "
+              "(kdtree, warm caches)",
     )
-    return table, speedup, idle_gain, busy_ratio, inflation
+    return table, speedup, inflation
 
 
 def test_tenancy(benchmark):
-    table, speedup, idle_gain, busy_ratio, inflation = benchmark.pedantic(
+    table, speedup, inflation = benchmark.pedantic(
         run_bench, rounds=1, iterations=1
     )
     emit("tenancy", table)
     # Acceptance (the ISSUE's): shared fused engine >= 1.3x over
     # isolated per-tenant servers on the 3-tenant seeded mix.
     assert speedup >= 1.3, f"shared-engine speedup {speedup:.2f}x < 1.3x"
-    # Adaptive windows: idle-stream p95 improves, busy throughput holds.
-    assert idle_gain >= 1.2, f"idle p95 gain {idle_gain:.2f}x < 1.2x"
-    assert busy_ratio >= 0.85, f"busy throughput ratio {busy_ratio:.2f}"
     # Fairness: the trickle tenant's tail is bounded, not burst-sized.
     assert inflation <= 8.0, f"trickle p95 inflated {inflation:.2f}x"

@@ -9,9 +9,11 @@ the :class:`~repro.serve.tenancy.MultiTenantServer`:
   cannot queue the trickle tenant into the ground;
 - compatible clouds from different tenants fuse into the **same ragged
   kernel invocation** (cross-tenant windows);
-- each tenant keeps its own pipeline config, dedup window, telemetry,
-  and an **adaptive controller** that resizes its window online from
-  arrival rate, utilisation, and rolling p95;
+- each tenant keeps its own pipeline config, dedup window and
+  telemetry;
+- the shared window is **work-conserving**: it closes when full, when
+  the source goes quiet, or at ``max_wait`` — an idle engine never waits
+  for company that is not coming;
 - the engine's worker pool is **persistent** — created once, shared by
   every window, joined by ``close()``.
 
@@ -55,14 +57,13 @@ def main() -> None:
     server = MultiTenantServer(
         engine, tenants,
         window=WindowConfig(max_clouds=24, max_wait=0.02),
-        adaptive=True,           # per-tenant W/T resize online
         quantum_points=4096,
         telemetry_every=4,
     )
 
     total = sum(spec.clouds for spec in traffic.values())
     print(f"serving {total} clouds from {len(tenants)} tenants through one "
-          f"shared engine (adaptive windows, DRR fairness)\n")
+          f"shared engine (cross-tenant windows, DRR fairness)\n")
     start = time.perf_counter()
     served = 0
     with server:
@@ -71,11 +72,8 @@ def main() -> None:
     wall = time.perf_counter() - start
 
     print()
-    for name, report in server.reports(wall).items():
+    for report in server.reports(wall).values():
         print(report.format())
-        controller = server.session(name).controller
-        print(f"  adaptive window settled at W={controller.max_clouds}, "
-              f"T={controller.max_wait * 1e3:.1f} ms\n")
     print(f"{served} clouds served in {wall * 1e3:.0f} ms "
           f"({served / wall:.0f} clouds/s aggregate)")
 

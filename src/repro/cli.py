@@ -18,8 +18,7 @@ Six subcommands cover the common workflows without writing any code:
   built-in traffic) through the windowed micro-batching server with
   live latency telemetry: ``repro loadgen | repro serve``.
   ``--tenants N`` serves N sessions through one shared engine with
-  deficit-round-robin fairness and cross-tenant fusion; ``--adaptive``
-  resizes the window online from arrival rate + rolling p95;
+  deficit-round-robin fairness and cross-tenant fusion;
   ``--shards N`` replaces the in-process server with the sharded
   front-end (:mod:`repro.shard`): a consistent-hash router over N
   engine worker processes with shared-memory array transport
@@ -59,8 +58,6 @@ from .networks import WORKLOADS, get_workload
 from .partition import PARTITIONER_NAMES, get_partitioner, summarize
 from .runtime import BatchExecutor, PipelineSpec
 from .serve import (
-    AdaptiveWindow,
-    ControllerConfig,
     LoadSpec,
     MultiTenantServer,
     ServeReport,
@@ -422,21 +419,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     window = WindowConfig(
         max_clouds=args.window, max_wait=args.max_wait_ms / 1e3
     )
-    # Adaptive-only knobs are validated only when --adaptive asks for
-    # them; a static serve must not trip over e.g. --min-wait-ms 0.
-    bounds = (
-        ControllerConfig(
-            max_clouds=args.window,
-            max_wait=args.max_wait_ms / 1e3,
-            min_wait=min(args.min_wait_ms / 1e3, args.max_wait_ms / 1e3),
-        )
-        if args.adaptive
-        else None
-    )
-    mode = "adaptive" if args.adaptive else "static"
     print(
         f"serve: window {args.window} clouds / {args.max_wait_ms:.0f} ms "
-        f"({mode}) on {args.partitioner} ({engine.mode}, "
+        f"on {args.partitioner} ({engine.mode}, "
         f"{engine.max_workers} workers, kernel={engine.kernel}, "
         f"in-flight {engine.in_flight}"
         + (", delta" if args.delta else "")
@@ -466,7 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     for i in range(tenants)
                 ],
                 window=window,
-                controller=bounds,
                 quantum_points=args.quantum_points,
                 telemetry_every=args.stats_every,
             )
@@ -484,12 +468,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             telemetry = ServeTelemetry(
                 window_capacity=args.window, every=args.stats_every
             )
-            server = WindowedServer(
-                engine,
-                window,
-                controller=AdaptiveWindow(bounds) if bounds else None,
-                telemetry=telemetry,
-            )
+            server = WindowedServer(engine, window, telemetry=telemetry)
             with server:
                 for result in server.serve(source, pipeline, on_stats=print):
                     served += 1
@@ -694,20 +673,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "stdin; omit to generate built-in traffic from the "
                         "loadgen options below")
     p.add_argument("--window", type=int, default=16,
-                   help="micro-batch budget W: clouds per window (the "
-                        "upper bound under --adaptive)")
+                   help="micro-batch budget W: clouds per window")
     p.add_argument("--max-wait-ms", type=float, default=50.0,
                    help="window cap T: the most ms a window stays open "
                         "after its first cloud. Windows close earlier "
                         "when full or as soon as the input goes quiet, "
-                        "so only a steady trickle ever waits this long "
-                        "(the upper bound under --adaptive)")
-    p.add_argument("--adaptive", action="store_true",
-                   help="resize W/T online from arrival rate + rolling "
-                        "p95, within [1, --window] x [--min-wait-ms, "
-                        "--max-wait-ms]")
-    p.add_argument("--min-wait-ms", type=float, default=2.0,
-                   help="adaptive controller's lower bound on T")
+                        "so only a steady trickle ever waits this long")
     p.add_argument("--tenants", type=int, default=0,
                    help="serve N tenant sessions sharing this engine "
                         "(deficit-round-robin fairness, cross-tenant "

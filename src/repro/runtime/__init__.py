@@ -3,6 +3,7 @@ multi-cloud execution engine."""
 
 from .cache import (
     PartitionCache,
+    ResultWindow,
     clear_all_partition_caches,
     content_key,
     result_key,
@@ -26,6 +27,7 @@ __all__ = [
     "PartitionStats",
     "PipelineSpec",
     "Program",
+    "ResultWindow",
     "StagePlan",
     "clear_all_partition_caches",
     "clear_caches",

@@ -1,5 +1,6 @@
-"""Content-addressed partition cache shared by the execution engine and
-the network backends.
+"""Content-addressed caches: the partition cache shared by the execution
+engine and the network backends, and the result window every request
+dedup surface replays from.
 
 Partitioning is the preprocessing cost the paper works so hard to bound
 (Fig. 5); in a serving loop the same cloud frequently recurs — repeated
@@ -22,15 +23,21 @@ then scans the most recent entries for a frame-delta match and either
 - falls back to a full **cold** build when drift exceeds the policy
   bounds, the certificate fails, or a patch does not survive its own
   sanity checks — never to a wrong structure.
+
+Whole *results* are deduplicated one level up, by :class:`ResultWindow`:
+an exact repeat (same :func:`result_key`) is never recomputed but
+replayed from the last result of that content.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -48,9 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.blocks import BlockStructure
     from ..core.ragged import RaggedBlocks
     from ..core.update import FractalUpdater
+    from .executor import CloudResult
 
-__all__ = ["content_key", "result_key", "PartitionCache",
-           "clear_all_partition_caches"]
+__all__ = ["content_key", "result_key", "replayed", "ResultWindow",
+           "WindowSplit", "PartitionCache", "clear_all_partition_caches"]
 
 #: Every live cache instance, so test harnesses can flush partition state
 #: globally (``repro.runtime.compiler.clear_caches``) without threading a
@@ -103,13 +111,105 @@ def result_key(coords: np.ndarray, features: np.ndarray | None) -> bytes:
     Exact float64 content of coords + features — replaying a *result*
     for a merely float32-equal cloud would be wrong (the pipeline
     computes in float64).  Every dedup surface (``stream()``,
-    ``run(fuse=True)``, the windowed server) must key through here so
-    their replay decisions can never diverge.
+    ``run(fuse=True)``, the windowed and tenant servers, the shard
+    worker) must key through here so their replay decisions can never
+    diverge.
     """
     key = content_key(coords, dtype=np.float64)
     if features is not None:
         key += content_key(features, dtype=np.float64)
     return key
+
+
+def replayed(result: "CloudResult", index: int) -> "CloudResult":
+    """``result`` served again as cloud ``index``: the replay stamp of
+    every dedup surface.  No compute, so ``seconds`` is 0 and the
+    partition counts as a hit; the arrays are shared with the canonical
+    result, so treat them as read-only."""
+    return dataclasses.replace(
+        result, index=index, cache_hit=True, seconds=0.0, reused=True
+    )
+
+
+@dataclass
+class WindowSplit:
+    """One window's entries as :meth:`ResultWindow.split` sorted them."""
+
+    #: ``(slot, coords, features)`` to execute — ``execute_window`` items.
+    uniques: list = field(default_factory=list)
+    #: ``(slot, result)``: repeats of a result remembered from an earlier
+    #: window.
+    replays: list = field(default_factory=list)
+    #: ``(slot, canonical slot)``: repeats of a unique of this window.
+    duplicates: list = field(default_factory=list)
+    #: ``key -> slot`` of every keyed unique.
+    canonical: dict = field(default_factory=dict)
+
+    @property
+    def reused(self) -> int:
+        """Entries served without compute."""
+        return len(self.replays) + len(self.duplicates)
+
+
+class ResultWindow:
+    """Request dedup: a bounded LRU of canonical results by content.
+
+    Every dedup surface — the windowed and tenant servers, the shard
+    worker, ``stream()`` and ``run(fuse=True)`` — runs its windows
+    through one of these, so a repeat is replayed the same way on every
+    path::
+
+        split = window.split(entries)   # (slot, coords, features, key)
+        results, _ = engine.execute_window(split.uniques, pipeline)
+        window.complete(results, split)   # now results[slot] for all
+
+    A ``None`` key (dedup off) always executes.  ``reuse_window`` is how
+    many distinct canonical results are kept across windows; 0 keeps
+    none, leaving within-window dedup only.  A replay bumps its key, so
+    a hot result outlives older ones that never repeated.
+    """
+
+    def __init__(self, reuse_window: int):
+        if reuse_window < 0:
+            raise ValueError(f"reuse_window must be >= 0, got {reuse_window}")
+        self.reuse_window = reuse_window
+        self._done: OrderedDict[bytes, "CloudResult"] = OrderedDict()
+
+    def split(self, entries: Iterable[tuple]) -> WindowSplit:
+        """Sort ``(slot, coords, features, key)`` entries into uniques,
+        replays (bumped in the LRU) and within-window duplicates."""
+        split = WindowSplit()
+        for slot, coords, features, key in entries:
+            if key is not None and key in self._done:
+                self._done.move_to_end(key)
+                split.replays.append((slot, self._done[key]))
+            elif key is not None and key in split.canonical:
+                split.duplicates.append((slot, split.canonical[key]))
+            else:
+                if key is not None:
+                    split.canonical[key] = slot
+                split.uniques.append((slot, coords, features))
+        return split
+
+    def complete(
+        self, results: dict[int, "CloudResult"], split: WindowSplit
+    ) -> dict[int, "CloudResult"]:
+        """Fill ``results`` (the uniques' results by slot) with the
+        replays and duplicates of ``split``, and remember the window's
+        canonical results.  Returns ``results``."""
+        for slot, result in split.replays:
+            results[slot] = replayed(result, slot)
+        for slot, original in split.duplicates:
+            results[slot] = replayed(results[original], slot)
+        for key, slot in split.canonical.items():
+            self._done[key] = results[slot]
+            while len(self._done) > self.reuse_window:
+                self._done.popitem(last=False)
+        return results
+
+    def clear(self) -> None:
+        """Forget every remembered result."""
+        self._done.clear()
 
 
 @dataclass

@@ -27,7 +27,6 @@ path; ``tests/test_batch_parity.py`` holds the proof obligations.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import weakref
@@ -53,7 +52,7 @@ from ..geometry import ops as exact_ops
 from ..obs import latency_percentiles
 from ..partition.base import Partitioner, get_partitioner
 from ..serve.planner import WindowPlan, plan_buckets
-from .cache import PartitionCache, result_key
+from .cache import PartitionCache, ResultWindow, replayed, result_key
 
 __all__ = [
     "PipelineSpec",
@@ -351,11 +350,12 @@ class BatchExecutor:
         reuse_results: deduplicate identical clouds within a stream —
             compute once, replay the result (``CloudResult.reused``).
             Identity is the exact float64 content of coords + features.
-        reuse_window: distinct recent clouds eligible for reuse.  The
-            engine retains the full result arrays of that many recent
-            clouds even when nothing repeats, so the window bounds
-            steady-state memory on unbounded unique streams (at the
-            default 32 and 8 K-point clouds, a few tens of MB).
+        reuse_window: distinct recent clouds eligible for reuse (``>=
+            0``; 0 replays only repeats inside one window).  The engine
+            retains the full result arrays of that many recent clouds
+            even when nothing repeats, so the window bounds steady-state
+            memory on unbounded unique streams (at the default 32 and
+            8 K-point clouds, a few tens of MB).
         delta: enable the streaming-frames delta protocol — on a cache
             miss the partition cache scans recent entries for a
             near-match and serves a certificate-verified reuse or an
@@ -435,6 +435,8 @@ class BatchExecutor:
         self.use_batched_ops = use_batched_ops
         self.cache_size = cache_size
         self.reuse_results = reuse_results
+        if reuse_window < 0:
+            raise ValueError(f"reuse_window must be >= 0, got {reuse_window}")
         self.reuse_window = reuse_window
         self.build_kernel = dispatch.validate_build_kernel(build_kernel)
         policy = (
@@ -634,36 +636,21 @@ class BatchExecutor:
         When ``reuse_results`` is on, a cloud whose (coords, features)
         content already appeared among the last ``reuse_window`` distinct
         clouds of this stream is never recomputed — its result is
-        replayed with the new index and ``reused=True`` (repeated frames,
-        retries, and popular assets are the common case of serving
-        traffic).
+        replayed with the new index and marked ``reused`` (repeated
+        frames, retries, and popular assets are the common case of
+        serving traffic).
         """
         pipeline = pipeline or PipelineSpec()
-
-        def keyed():
-            for i, c in enumerate(clouds):
-                coords, features = _as_cloud(c)
-                key = result_key(coords, features) if self.reuse_results else None
-                yield i, coords, features, key
-
-        def replay(result: CloudResult, index: int) -> CloudResult:
-            return dataclasses.replace(
-                result, index=index, cache_hit=True, seconds=0.0, reused=True
-            )
-
         if self.mode == "serial":
-            done: OrderedDict = OrderedDict()
-            for index, coords, features, key in keyed():
-                if key is not None and key in done:
-                    done.move_to_end(key)
-                    yield replay(done[key], index)
-                    continue
-                result = self._execute(index, coords, features, pipeline)
-                if key is not None:
-                    done[key] = result
-                    while len(done) > self.reuse_window:
-                        done.popitem(last=False)
-                yield result
+            # Every cloud is a window of one.
+            done = ResultWindow(self.reuse_window)
+            for entry in self._keyed(clouds):
+                split = done.split([entry])
+                results = {
+                    index: self._execute(index, coords, features, pipeline)
+                    for index, coords, features in split.uniques
+                }
+                yield done.complete(results, split)[entry[0]]
             return
 
         pool = self._ensure_pool()
@@ -674,9 +661,9 @@ class BatchExecutor:
         def drain_one() -> CloudResult:
             index, future, is_replay = pending.popleft()
             result = future.result()
-            return replay(result, index) if is_replay else result
+            return replayed(result, index) if is_replay else result
 
-        for index, coords, features, key in keyed():
+        for index, coords, features, key in self._keyed(clouds):
             if key is not None and key in in_flight:
                 in_flight.move_to_end(key)
                 pending.append((index, in_flight[key], True))
@@ -691,6 +678,14 @@ class BatchExecutor:
                 yield drain_one()
         while pending:
             yield drain_one()
+
+    def _keyed(self, clouds: Iterable[object]) -> Iterator[tuple]:
+        """Normalise a batch into ``(index, coords, features, key)``
+        :class:`~repro.runtime.cache.ResultWindow` entries."""
+        for index, cloud in enumerate(clouds):
+            coords, features = _as_cloud(cloud)
+            key = result_key(coords, features) if self.reuse_results else None
+            yield index, coords, features, key
 
     def run(
         self,
@@ -762,28 +757,13 @@ class BatchExecutor:
         never loses the pool overlap), and content-identical repeats are
         replayed exactly like the streaming dedup.
         """
-        dup_of: dict[int, int] = {}
-        canonical: dict[bytes, int] = {}
-        uniques: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-        count = 0
-        for index, cloud in enumerate(clouds):
-            count += 1
-            coords, features = _as_cloud(cloud)
-            if self.reuse_results:
-                key = result_key(coords, features)
-                if key in canonical:
-                    dup_of[index] = canonical[key]
-                    continue
-                canonical[key] = index
-            uniques.append((index, coords, features))
-
-        results, _ = self.execute_window(uniques, pipeline)
-        for index, original in dup_of.items():
-            results[index] = dataclasses.replace(
-                results[original], index=index, cache_hit=True,
-                seconds=0.0, reused=True,
-            )
-        return [results[index] for index in range(count)]
+        entries = list(self._keyed(clouds))
+        # One batch is one window: within-batch dedup, nothing kept.
+        window = ResultWindow(0)
+        split = window.split(entries)
+        results, _ = self.execute_window(split.uniques, pipeline)
+        window.complete(results, split)
+        return [results[index] for index in range(len(entries))]
 
     def execute_window(
         self,

@@ -1,14 +1,13 @@
 """Serving layer: windowed micro-batching on top of the batch engine.
 
 - :mod:`repro.serve.window` — the :class:`WindowedServer` micro-batcher
-  (collect up to ``W`` clouds or ``T`` ms, fuse, emit in order);
+  (collect up to ``W`` clouds, at most ``T`` ms, until the source goes
+  quiet; fuse; emit in order);
 - :mod:`repro.serve.inbox` — the puller thread, bounded queue and window
   close rule (full / timeout / idle) both in-process servers share;
 - :mod:`repro.serve.tenancy` — the :class:`MultiTenantServer`: N client
   sessions (own pipeline, dedup window, telemetry) sharing one engine
   under deficit-round-robin fairness, with cross-tenant fused windows;
-- :mod:`repro.serve.controller` — the :class:`AdaptiveWindow` policy
-  that resizes ``W``/``T`` online from arrival rate + rolling p95;
 - :mod:`repro.serve.planner` — best-fit-decreasing bucket packing,
   shared with ``BatchExecutor.run(fuse=True)``;
 - :mod:`repro.serve.telemetry` — rolling latency percentiles and window
@@ -18,7 +17,6 @@
   ``.npy``-record wire format of ``repro loadgen | repro serve``.
 """
 
-from .controller import AdaptiveWindow, ControllerConfig
 from .loadgen import (
     LoadSpec,
     generate,
@@ -38,8 +36,6 @@ from .planner import (
 from .telemetry import ServeReport, ServeTelemetry, latency_percentiles
 
 __all__ = [
-    "AdaptiveWindow",
-    "ControllerConfig",
     "DeficitRoundRobin",
     "LoadSpec",
     "MultiTenantServer",

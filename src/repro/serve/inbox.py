@@ -110,15 +110,16 @@ class Inbox:
     def gather(
         self,
         admit: Callable[[object, float], None],
-        limits: Callable[[], tuple[int, float]],
+        max_clouds: int,
+        max_wait: float,
         backlog: int = 0,
     ) -> str | None:
-        """Assemble one window; returns why it closed.
+        """Assemble one window of at most ``max_clouds`` clouds, open at
+        most ``max_wait`` seconds; returns why it closed.
 
         ``admit(entry, arrived)`` takes each arrival.  The window opens
         at the first one (blocking for it unless ``backlog`` clouds are
-        already held over from the last window); ``limits()`` is read
-        then and gives this window's ``(max_clouds, max_wait)``.
+        already held over from the last window).
 
         Returns ``None`` — after re-raising the source's exception, if
         it had one — once the source has ended and nothing is held.
@@ -130,7 +131,6 @@ class Inbox:
                     raise self._error
                 return None
             held = 1
-        max_clouds, max_wait = limits()
         deadline = obs.now() + max_wait
         while held < max_clouds:
             if self._exhausted:

@@ -12,8 +12,8 @@ Three traffic profiles stress different scheduler surfaces:
   shape);
 - ``diurnal`` — the size band and the burst pacing drift sinusoidally
   over the stream (period ``drift_period`` clouds, amplitude
-  ``drift_amplitude``), the daily rhythm an adaptive controller must
-  track without a human retuning ``W``/``T``;
+  ``drift_amplitude``), the daily rhythm a window must ride without a
+  human retuning ``W``/``T``;
 - ``adversarial`` — sizes crafted to defeat bin packing: "giants" just
   over half the fusion budget (no two share a bucket under
   ``max_points ≈ adversary_points``) interleaved with "dwarfs" whose

@@ -12,8 +12,8 @@ sensitive one into the ground just by arriving faster).
 The pieces:
 
 - :class:`TenantSpec` / :class:`TenantSession` — each tenant holds its
-  own pipeline config, its own dedup window, its own telemetry, and
-  optionally its own :class:`~repro.serve.controller.AdaptiveWindow`;
+  own pipeline config, its own dedup window
+  (:class:`~repro.runtime.cache.ResultWindow`) and its own telemetry;
   only the :class:`~repro.runtime.executor.BatchExecutor` (and its
   persistent worker pool) is shared.
 - :class:`DeficitRoundRobin` — cost-aware admission (cost = points, the
@@ -38,16 +38,15 @@ mates affect latency and throughput, never a bit
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
-from ..runtime.cache import result_key
+from ..runtime.cache import ResultWindow, result_key
 from ..runtime.executor import BatchExecutor, CloudResult, PipelineSpec, _as_cloud
-from .controller import AdaptiveWindow, ControllerConfig
 from .inbox import FULL, Inbox
 from .planner import WindowPlan
 from .telemetry import ServeReport, ServeTelemetry
@@ -135,7 +134,10 @@ class DeficitRoundRobin:
     its credit does not cover the cost and even if the window budget is
     already spoken for — the admission capacity is raised when needed.
     So no ready tenant is ever skipped twice in a row, which is the
-    starvation bound the test suite holds as a hypothesis property.
+    starvation bound the test suite holds as a hypothesis property.  And
+    a round never comes up empty while work is queued: when no credit
+    covers any head, the first ready tenant in rotation order is served
+    as if starved.
     """
 
     def __init__(
@@ -232,6 +234,13 @@ class DeficitRoundRobin:
                 # Queue drained: credit does not bank across idle time.
                 self._deficit[tenant] = 0.0
 
+        if not any(admitted.values()):
+            # Every head costs more than its tenant's credit.  An empty
+            # round would only put off the guard to the next one (and
+            # cost the caller an idle window), so apply it now.
+            admitted[rotation[0]] = 1
+            self._deficit[rotation[0]] = 0.0
+
         self._starved = {t for t in ready if admitted[t] == 0}
         if self._order:
             self._cursor = (self._cursor + 1) % len(self._order)
@@ -243,7 +252,7 @@ class TenantSession:
 
     Everything that must *not* leak across tenants lives here: the FIFO
     request queue, the submission/emission counters, the dedup window of
-    canonical results, the telemetry, and the adaptive controller.
+    canonical results, and the telemetry.
     """
 
     def __init__(
@@ -252,28 +261,19 @@ class TenantSession:
         *,
         reuse_window: int,
         telemetry: ServeTelemetry,
-        controller: AdaptiveWindow | None,
     ):
         self.spec = spec
         self.queue: deque[_Request] = deque()
         self.submitted = 0
         self.emitted = 0
-        self.done: OrderedDict[bytes, CloudResult] = OrderedDict()
-        self.reuse_window = (
+        self.dedup = ResultWindow(
             spec.reuse_window if spec.reuse_window is not None else reuse_window
         )
         self.telemetry = telemetry
-        self.controller = controller
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    def remember(self, key: bytes, result: CloudResult) -> None:
-        """Admit one canonical result into the tenant's dedup window."""
-        self.done[key] = result
-        while len(self.done) > self.reuse_window:
-            self.done.popitem(last=False)
 
 
 class MultiTenantServer:
@@ -286,7 +286,6 @@ class MultiTenantServer:
             engine,
             [TenantSpec("lidar", PipelineSpec(radius=0.3)),
              TenantSpec("assets", weight=2.0)],
-            adaptive=True,
         )
         for served in server.serve(tagged_stream()):   # (tenant, cloud)
             consume(served.tenant, served.result)
@@ -303,16 +302,9 @@ class MultiTenantServer:
             tenant.
         tenants: :class:`TenantSpec`\\ s (or bare names) declaring the
             sessions.
-        window: static shared window limits (default
-            :class:`WindowConfig`); ``W`` is the admission budget of one
-            round, ``T`` the cap on how long :meth:`serve` assembles it.
-        adaptive: give each tenant an :class:`AdaptiveWindow`; the
-            shared window is then the aggregate of the per-tenant
-            policies (sum of ``W``s, min of ``T``s — the most latency-
-            sensitive tenant sets the pace).
-        controller: bounds/gains for the per-tenant controllers (implies
-            ``adaptive=True`` when given); defaults to bounds derived
-            from ``window``.
+        window: the shared window limits (default :class:`WindowConfig`);
+            ``W`` is the admission budget of one round, ``T`` the cap on
+            how long :meth:`serve` assembles it.
         quantum_points: DRR quantum in points per round per unit weight.
         share_results: opt-in cross-tenant dedup.  Hot assets are hot
             for *every* tenant; with this on, a cloud whose exact
@@ -332,8 +324,6 @@ class MultiTenantServer:
         tenants: Iterable[TenantSpec | str],
         *,
         window: WindowConfig | None = None,
-        adaptive: bool = False,
-        controller: ControllerConfig | None = None,
         quantum_points: float = 8192.0,
         share_results: bool = False,
         telemetry_every: int = 0,
@@ -351,27 +341,9 @@ class MultiTenantServer:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        if controller is not None:
-            adaptive = True
-        if adaptive and controller is None:
-            controller = ControllerConfig(
-                max_clouds=self.window.max_clouds,
-                max_wait=self.window.max_wait,
-                min_wait=min(0.002, self.window.max_wait),
-            )
-        self.adaptive = adaptive
         self.share_results = share_results
-        # Occupancy denominator: the budget one tenant *could* win in a
-        # round — the whole shared window (adaptive: the aggregate of
-        # the per-tenant bounds).
-        capacity = (
-            controller.max_clouds * len(specs)
-            if adaptive
-            else self.window.max_clouds
-        )
-        #: Cross-tenant dedup window (share_results mode only): content
-        #: key -> canonical CloudResult, bounded like the session ones.
-        self._shared_done: OrderedDict[bytes, CloudResult] = OrderedDict()
+        #: Cross-tenant dedup window (share_results mode only).
+        self._shared = ResultWindow(engine.reuse_window)
         self.scheduler = DeficitRoundRobin(
             quantum_points, weights={spec.name: spec.weight for spec in specs}
         )
@@ -381,12 +353,13 @@ class MultiTenantServer:
             self._sessions[spec.name] = TenantSession(
                 spec,
                 reuse_window=engine.reuse_window,
+                # Occupancy denominator: the budget one tenant *could*
+                # win in a round — the whole shared window.
                 telemetry=ServeTelemetry(
-                    window_capacity=capacity,
+                    window_capacity=self.window.max_clouds,
                     every=telemetry_every,
                     label=spec.name,
                 ),
-                controller=AdaptiveWindow(controller) if adaptive else None,
             )
 
     # -- introspection -------------------------------------------------------
@@ -397,29 +370,13 @@ class MultiTenantServer:
         return tuple(self._sessions)
 
     def session(self, tenant: str) -> TenantSession:
-        """The live session of one tenant (telemetry, queue, controller)."""
+        """The live session of one tenant (telemetry, queue, dedup)."""
         return self._sessions[tenant]
 
     @property
     def backlog(self) -> int:
         """Total queued-but-unserved requests across all tenants."""
         return sum(len(s.queue) for s in self._sessions.values())
-
-    def limits(self) -> tuple[int, float]:
-        """The shared window's current ``(W, T)``.
-
-        Static mode returns the configured window.  Adaptive mode
-        aggregates the per-tenant controllers: the budget is the sum of
-        what each tenant's policy wants (everyone's traffic shares the
-        window), the timeout is the minimum (the most latency-sensitive
-        tenant must not wait for anyone else's batch to fill).
-        """
-        if not self.adaptive:
-            return (self.window.max_clouds, self.window.max_wait)
-        sessions = self._sessions.values()
-        clouds = sum(s.controller.max_clouds for s in sessions)
-        wait = min(s.controller.max_wait for s in sessions)
-        return (max(clouds, 1), wait)
 
     def reports(self, wall_seconds: float) -> dict[str, ServeReport]:
         """Per-tenant final reports over a shared wall-clock interval."""
@@ -448,8 +405,6 @@ class MultiTenantServer:
         request = _Request(session.submitted, when, coords, features, key)
         session.submitted += 1
         session.queue.append(request)
-        if session.controller is not None:
-            session.controller.observe_arrival(when)
         return request.seq
 
     def drain(
@@ -458,7 +413,7 @@ class MultiTenantServer:
         """Run one admission + execution round over the queued backlog.
 
         Admission is one :class:`DeficitRoundRobin` round under the
-        current window budget; admitted clouds are grouped by pipeline
+        window budget ``W``; admitted clouds are grouped by pipeline
         and each group runs through the engine's fused machinery, so
         clouds of different tenants share ragged kernel invocations.
         Emissions are per-tenant submission-ordered (admission always
@@ -477,8 +432,7 @@ class MultiTenantServer:
         }
         if not queues:
             return []
-        budget, _ = self.limits()
-        admitted = self.scheduler.admit(queues, budget)
+        admitted = self.scheduler.admit(queues, self.window.max_clouds)
 
         batch: list[tuple[TenantSession, _Request]] = []
         for name in self._sessions:
@@ -494,8 +448,7 @@ class MultiTenantServer:
         plans: dict[str, WindowPlan] = {name: WindowPlan() for name in admitted}
         reused: dict[str, int] = {name: 0 for name in admitted}
         sources: dict[str, list[str]] = {name: [] for name in admitted}
-        # Timed on the server clock so a synthetic clock keeps the whole
-        # controller observation sequence deterministic.
+        # Timed on the server clock, like every tenancy timestamp.
         exec_start = self._clock()
         with (
             obs.span(
@@ -511,11 +464,9 @@ class MultiTenantServer:
                 emissions.extend(
                     self._execute_group(pipeline, members, plans, reused, sources)
                 )
-        exec_seconds = self._clock() - exec_start
-        obs.observe("repro_serve_window_seconds", exec_seconds)
+        obs.observe("repro_serve_window_seconds", self._clock() - exec_start)
         obs.inc("repro_serve_clouds", len(batch))
         obs.inc("repro_serve_windows")
-        computed = len(batch) - sum(reused.values())
         emitted_at = self._clock() if now is None else float(now)
 
         # Emission order: per-tenant seq order (guaranteed — each
@@ -533,8 +484,6 @@ class MultiTenantServer:
             )
             session.emitted += 1
             session.telemetry.record_latency(served.latency)
-            if session.controller is not None:
-                session.controller.observe_latency(served.latency)
         for name, count in admitted.items():
             session = self._sessions[name]
             plan = plans[name]
@@ -551,10 +500,6 @@ class MultiTenantServer:
                 patched=split.count("patched") + split.count("reused"),
                 warm=split.count("warm"),
             )
-            if session.controller is not None:
-                if computed > 0:
-                    session.controller.observe_service(exec_seconds, computed)
-                session.controller.update()
         return emissions
 
     def _execute_group(
@@ -567,95 +512,54 @@ class MultiTenantServer:
     ) -> list[TenantResult]:
         """Fused execution of one pipeline group (possibly many tenants).
 
-        Dedup scope follows the server mode.  Default (strict): a repeat
-        replays only against its own tenant's window or an earlier
-        identical cloud of the same tenant in this group — tenants never
-        observe each other's results, even bit-identical ones (isolation
-        beats the replay win).  With ``share_results``: one shared
-        content-addressed window spans tenants, so anyone's recent
-        computation serves everyone's identical content.  The returned
-        ``TenantResult.latency`` field temporarily carries the arrival
-        timestamp; :meth:`drain` rewrites it once the shared emission
-        time is known.
+        Dedup scope follows the server mode.  Default (strict): each
+        tenant's clouds split against that tenant's own
+        :class:`~repro.runtime.cache.ResultWindow`, so a repeat replays
+        only its own tenant's results — tenants never observe each
+        other's, even bit-identical ones (isolation beats the replay
+        win).  With ``share_results`` one shared window spans tenants, so
+        anyone's recent computation serves everyone's identical content.
+        Either way the group's uniques run in one ``execute_window`` call.
+        The returned ``TenantResult.latency`` field temporarily carries
+        the arrival timestamp; :meth:`drain` rewrites it once the shared
+        emission time is known.
         """
-        uniques: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-        owners: list[tuple[TenantSession, _Request]] = []
-        canonical: dict[object, int] = {}
-        replays: list[tuple[TenantSession, _Request, CloudResult]] = []
-        dup_of: list[tuple[TenantSession, _Request, int]] = []
-        for session, request in members:
-            key = request.key
-            done = self._shared_done if self.share_results else session.done
-            scoped = (
-                None
-                if key is None
-                else (key if self.share_results else (session.name, key))
+        entries: dict[ResultWindow, list] = {}
+        for slot, (session, request) in enumerate(members):
+            window = self._shared if self.share_results else session.dedup
+            entries.setdefault(window, []).append(
+                (slot, request.coords, request.features, request.key)
             )
-            if key is not None and key in done:
-                done.move_to_end(key)
-                replays.append((session, request, done[key]))
-            elif scoped is not None and scoped in canonical:
-                dup_of.append((session, request, canonical[scoped]))
-            else:
-                index = len(uniques)
-                if scoped is not None:
-                    canonical[scoped] = index
-                uniques.append((index, request.coords, request.features))
-                owners.append((session, request))
-
+        splits = [(window, window.split(group)) for window, group in entries.items()]
+        uniques = [item for _, split in splits for item in split.uniques]
         results, plan = self.engine.execute_window(uniques, pipeline)
+        for window, split in splits:
+            window.complete(results, split)
 
-        # Partition-source split per owning tenant (cold / patched /
-        # reused / warm), so per-tenant reports keep the delta-protocol
-        # accounting the single-stream server already had.
-        for index, (session, _) in enumerate(owners):
-            sources[session.name].append(results[index].partition_source)
-
-        # Attribute the fused/singleton split back to tenants.  A fused
-        # bucket may span several tenants, so bucket counts cannot be
-        # split exactly; each tenant with fused traffic in this group is
-        # charged the group's bucket count (the invocations it rode in).
+        # Attribute each computed cloud to its tenant: the partition
+        # source (cold / patched / reused / warm, the delta-protocol
+        # accounting the single-stream server has) and the
+        # fused/singleton split.  A fused bucket may span several
+        # tenants, so bucket counts cannot be split exactly; each tenant
+        # with fused traffic in this group is charged the group's bucket
+        # count (the invocations it rode in).
         singleton = set(plan.singleton_indices)
-        for index, (session, _) in enumerate(owners):
-            part = (
+        for slot, _, _ in uniques:
+            name = members[slot][0].name
+            sources[name].append(results[slot].partition_source)
+            plans[name] = plans[name] + (
                 WindowPlan(singleton_clouds=1)
-                if index in singleton
+                if slot in singleton
                 else WindowPlan(fused_clouds=1)
             )
-            plans[session.name] = plans[session.name] + part
         for name in {session.name for session, _ in members}:
             if plans[name].fused_clouds:
                 plans[name] = plans[name] + WindowPlan(buckets=plan.buckets)
 
         served: list[TenantResult] = []
-        for index, (session, request) in enumerate(owners):
-            result = results[index]
-            result = dataclasses.replace(result, index=request.seq)
-            if request.key is not None:
-                if self.share_results:
-                    self._shared_done[request.key] = result
-                    while len(self._shared_done) > self.engine.reuse_window:
-                        self._shared_done.popitem(last=False)
-                else:
-                    session.remember(request.key, result)
-            served.append(
-                TenantResult(session.name, request.seq, request.arrived, result)
-            )
-        for session, request, original in replays:
-            result = dataclasses.replace(
-                original, index=request.seq, cache_hit=True,
-                seconds=0.0, reused=True,
-            )
-            reused[session.name] += 1
-            served.append(
-                TenantResult(session.name, request.seq, request.arrived, result)
-            )
-        for session, request, original_index in dup_of:
-            result = dataclasses.replace(
-                results[original_index], index=request.seq, cache_hit=True,
-                seconds=0.0, reused=True,
-            )
-            reused[session.name] += 1
+        for slot, (session, request) in enumerate(members):
+            result = dataclasses.replace(results[slot], index=request.seq)
+            reused[session.name] += result.reused
             served.append(
                 TenantResult(session.name, request.seq, request.arrived, result)
             )
@@ -672,11 +576,10 @@ class MultiTenantServer:
         """Serve an unbounded ``(tenant, cloud)`` stream.
 
         The shared window opens at the first arrival (or on the backlog
-        the last round left) and closes once the aggregate ``W`` clouds
-        are backlogged, the source goes quiet, or ``T`` elapses — the
-        single-stream rule (:meth:`repro.serve.inbox.Inbox.gather`),
-        with :meth:`limits` giving ``(W, T)``, adaptive when the server
-        is.  Each close runs one :meth:`drain` round, so fairness applies
+        the last round left) and closes once ``W`` clouds are
+        backlogged, the source goes quiet, or ``T`` elapses — the
+        single-stream rule (:meth:`repro.serve.inbox.Inbox.gather`).
+        Each close runs one :meth:`drain` round, so fairness applies
         whenever a burst outruns the budget and the backlog carries
         over.  Results yield in per-tenant submission order; the source
         may be unbounded (``engine.in_flight`` bounds the pull-ahead)
@@ -694,7 +597,12 @@ class MultiTenantServer:
             clock=self._clock,
         ) as inbox:
             while (
-                reason := inbox.gather(ingest, self.limits, self.backlog)
+                reason := inbox.gather(
+                    ingest,
+                    self.window.max_clouds,
+                    self.window.max_wait,
+                    self.backlog,
+                )
             ) is not None:
                 yield from self.drain(reason=reason)
                 if on_stats is not None:

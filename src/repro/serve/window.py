@@ -25,35 +25,32 @@ The loop:
    windows grow as the engine gets busier (steps 1–2 are
    :class:`~repro.serve.inbox.Inbox`, shared with the tenant server);
 3. the window dedups exact repeats (against this window *and* the last
-   ``engine.reuse_window`` distinct clouds of the stream), plans fused
-   buckets for the rest, executes via the engine's fused machinery, and
-   emits :class:`~repro.runtime.executor.CloudResult`\\ s in submission
-   order.
+   ``engine.reuse_window`` distinct clouds of the stream — a
+   :class:`~repro.runtime.cache.ResultWindow`), plans fused buckets for
+   the rest, executes via the engine's fused machinery, and emits
+   :class:`~repro.runtime.executor.CloudResult`\\ s in submission order.
 
 Results are bit-identical to ``run(fuse=True)`` over the same finite
 stream, and therefore to the serial per-cloud reference — window
 boundaries affect latency and throughput, never a single index or bit.
 
-``W`` and ``T`` may be static (:class:`WindowConfig`) or controlled
-online by an :class:`~repro.serve.controller.AdaptiveWindow` (pass
-``controller=``); multi-stream serving with fairness across clients
-lives one layer up in :mod:`repro.serve.tenancy`.
+``W`` and ``T`` are the static :class:`WindowConfig`: with windows that
+close when the source goes quiet there is no wait left to tune online.
+Multi-stream serving with fairness across clients lives one layer up in
+:mod:`repro.serve.tenancy`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from ..runtime.cache import result_key
+from ..runtime.cache import ResultWindow, result_key
 from ..runtime.executor import BatchExecutor, CloudResult, PipelineSpec, _as_cloud
-from .controller import AdaptiveWindow
 from .inbox import Inbox
 from .telemetry import ServeTelemetry
 
@@ -109,10 +106,6 @@ class WindowedServer:
             the pull-ahead, and ``reuse_results`` / ``reuse_window``
             drive cross-window dedup.
         window: the :class:`WindowConfig` (default 16 clouds / 50 ms).
-        controller: an :class:`~repro.serve.controller.AdaptiveWindow`
-            that resizes ``W``/``T`` online within its configured bounds
-            (arrival rate + rolling p95); when given it replaces the
-            static ``window`` limits (which then only size telemetry).
         telemetry: a :class:`ServeTelemetry` to record into; one is
             created (sized to the window) when omitted.
 
@@ -126,16 +119,13 @@ class WindowedServer:
         engine: BatchExecutor,
         window: WindowConfig | None = None,
         *,
-        controller: AdaptiveWindow | None = None,
         telemetry: ServeTelemetry | None = None,
     ):
         self.engine = engine
         self.window = window or WindowConfig()
-        self.controller = controller
-        capacity = (
-            controller.config.max_clouds if controller else self.window.max_clouds
+        self.telemetry = telemetry or ServeTelemetry(
+            window_capacity=self.window.max_clouds
         )
-        self.telemetry = telemetry or ServeTelemetry(window_capacity=capacity)
 
     def close(self) -> None:
         """Join the engine's persistent worker pool."""
@@ -146,13 +136,6 @@ class WindowedServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _limits(self) -> tuple[int, float]:
-        """The next window's ``(W, T)`` — adaptive when a controller is
-        attached, the static config otherwise."""
-        if self.controller is not None:
-            return self.controller.limits()
-        return (self.window.max_clouds, self.window.max_wait)
 
     def serve(
         self,
@@ -170,9 +153,9 @@ class WindowedServer:
         closing the generator stops the puller thread.
         """
         pipeline = pipeline or PipelineSpec()
-        # Cross-window dedup: content -> canonical CloudResult of the last
-        # `reuse_window` distinct clouds (same bound as stream()).
-        done: OrderedDict[bytes, CloudResult] = OrderedDict()
+        # Cross-window dedup over the last `reuse_window` distinct clouds
+        # (same bound as stream()).
+        done = ResultWindow(self.engine.reuse_window)
         batch: list[_Arrival] = []
         index = itertools.count()
 
@@ -182,7 +165,11 @@ class WindowedServer:
         with Inbox(
             clouds, capacity=self.engine.in_flight, name="repro-serve-pull"
         ) as inbox:
-            while (reason := inbox.gather(admit, self._limits)) is not None:
+            while (
+                reason := inbox.gather(
+                    admit, self.window.max_clouds, self.window.max_wait
+                )
+            ) is not None:
                 yield from self._run_window(
                     batch, pipeline, done, inbox.depth, reason, on_stats
                 )
@@ -196,15 +183,13 @@ class WindowedServer:
         key = (
             result_key(coords, features) if self.engine.reuse_results else None
         )
-        if self.controller is not None:
-            self.controller.observe_arrival(arrived)
         return _Arrival(index, arrived, coords, features, key)
 
     def _run_window(
         self,
         batch: list[_Arrival],
         pipeline: PipelineSpec,
-        done: OrderedDict,
+        done: ResultWindow,
         queue_depth: int,
         reason: str,
         on_stats,
@@ -221,60 +206,31 @@ class WindowedServer:
             if obs.enabled()
             else obs.NULL_SPAN
         ):
-            uniques: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-            canonical: dict[bytes, int] = {}
-            replays: list[tuple[int, bytes]] = []
-            dup_of: dict[int, int] = {}
-            for arrival in batch:
-                key = arrival.key
-                if key is not None and key in done:
-                    replays.append((arrival.index, key))
-                elif key is not None and key in canonical:
-                    dup_of[arrival.index] = canonical[key]
-                else:
-                    if key is not None:
-                        canonical[key] = arrival.index
-                    uniques.append(
-                        (arrival.index, arrival.coords, arrival.features)
-                    )
-
+            split = done.split(
+                (arrival.index, arrival.coords, arrival.features, arrival.key)
+                for arrival in batch
+            )
             exec_start = obs.now()
             # Queue wait is everything between the window's first arrival
             # and execution start — recorded retroactively as a child so
             # the summarizer books it under "queueing".
             obs.record("serve.wait", first_arrival, exec_start)
-            results, plan = self.engine.execute_window(uniques, pipeline)
-            exec_seconds = obs.now() - exec_start
-            if self.controller is not None and uniques:
-                self.controller.observe_service(exec_seconds, len(uniques))
-            obs.observe("repro_serve_window_seconds", exec_seconds)
+            results, plan = self.engine.execute_window(split.uniques, pipeline)
+            obs.observe("repro_serve_window_seconds", obs.now() - exec_start)
             obs.inc("repro_serve_clouds", len(batch))
             obs.inc("repro_serve_windows")
-            for index, key in replays:
-                done.move_to_end(key)
-                results[index] = dataclasses.replace(
-                    done[key], index=index, cache_hit=True, seconds=0.0,
-                    reused=True,
-                )
-            for index, original in dup_of.items():
-                results[index] = dataclasses.replace(
-                    results[original], index=index, cache_hit=True,
-                    seconds=0.0, reused=True,
-                )
-            for key, index in canonical.items():
-                done[key] = results[index]
-                while len(done) > self.engine.reuse_window:
-                    done.popitem(last=False)
+            done.complete(results, split)
 
             sources = [
-                results[index].partition_source for index, _, _ in uniques
+                results[index].partition_source
+                for index, _, _ in split.uniques
             ]
             self.telemetry.record_window(
                 size=len(batch),
                 buckets=plan.buckets,
                 fused=plan.fused_clouds,
                 singletons=plan.singleton_clouds,
-                reused=len(replays) + len(dup_of),
+                reused=split.reused,
                 queue_depth=queue_depth,
                 reason=reason,
                 cold=sources.count("cold"),
@@ -282,13 +238,8 @@ class WindowedServer:
                 warm=sources.count("warm"),
             )
         for arrival in batch:
-            latency = obs.now() - arrival.arrived
-            self.telemetry.record_latency(latency)
-            if self.controller is not None:
-                self.controller.observe_latency(latency)
+            self.telemetry.record_latency(obs.now() - arrival.arrived)
             yield results[arrival.index]
-        if self.controller is not None:
-            self.controller.update()
         line = self.telemetry.tick()
         if line is not None and on_stats is not None:
             on_stats(line)

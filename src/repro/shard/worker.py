@@ -5,8 +5,8 @@ Each shard runs :func:`shard_main` in its own process: a private serial
 own dedup window), a response :class:`~repro.shard.transport.ShmArena`
 it owns, and a request loop that mirrors the single-process
 :class:`~repro.serve.window.WindowedServer` window semantics —
-dedup against the shard's rolling done-window, fused execution through
-``execute_window``, replays marked ``reused`` — so a sharded deployment
+dedup against the shard's :class:`~repro.runtime.cache.ResultWindow`,
+fused execution through ``execute_window`` — so a sharded deployment
 stays bit-identical to the one-process reference.
 
 Because the router's consistent hash sends every repeat of a content key
@@ -39,13 +39,8 @@ the window's ``results`` message.
 
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
-
-import numpy as np
-
 from .. import obs
-from ..runtime.cache import result_key
+from ..runtime.cache import ResultWindow, result_key
 from ..runtime.executor import BatchExecutor, CloudResult, PipelineSpec
 from .transport import ArrayRef, PickleChannel, ShmArena, ShmPeer
 
@@ -117,7 +112,7 @@ def shard_main(
     copy_requests = bool(engine_kwargs.get("delta"))
     channel = ShmArena(arena_bytes) if transport == "shm" else PickleChannel()
     peer = ShmPeer()
-    done: OrderedDict[bytes, CloudResult] = OrderedDict()
+    done = ResultWindow(engine.reuse_window)
     conn.send(("ready", shard, channel.name))
 
     def run_window(batch) -> None:
@@ -133,46 +128,18 @@ def shard_main(
         with obs.span_remote(
             span_ctx, "shard.window", shard=shard, clouds=len(batch)
         ):
-            uniques: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-            canonical: dict[bytes, int] = {}
-            replays: list[tuple[int, bytes]] = []
-            dup_of: dict[int, int] = {}
-            for slot, (_req_id, coords, features, _refs, _ctx) in enumerate(
-                batch
-            ):
-                key = (
-                    result_key(coords, features)
-                    if engine.reuse_results
-                    else None
-                )
-                if key is not None and key in done:
-                    replays.append((slot, key))
-                elif key is not None and key in canonical:
-                    dup_of[slot] = canonical[key]
-                else:
-                    if key is not None:
-                        canonical[key] = slot
-                    uniques.append((slot, coords, features))
+            keyed = engine.reuse_results
+            split = done.split(
+                (slot, coords, features,
+                 result_key(coords, features) if keyed else None)
+                for slot, (_, coords, features, _, _) in enumerate(batch)
+            )
             start = obs.now()
-            results, plan = engine.execute_window(uniques, pipeline)
+            results, plan = engine.execute_window(split.uniques, pipeline)
             seconds = obs.now() - start
-            for slot, key in replays:
-                done.move_to_end(key)
-                results[slot] = dataclasses.replace(
-                    done[key], index=slot, cache_hit=True, seconds=0.0,
-                    reused=True,
-                )
-            for slot, original in dup_of.items():
-                results[slot] = dataclasses.replace(
-                    results[original], index=slot, cache_hit=True,
-                    seconds=0.0, reused=True,
-                )
-            for key, slot in canonical.items():
-                done[key] = results[slot]
-                while len(done) > engine.reuse_window:
-                    done.popitem(last=False)
+            done.complete(results, split)
             sources = [
-                results[slot].partition_source for slot, _, _ in uniques
+                results[slot].partition_source for slot, _, _ in split.uniques
             ]
             payload = []
             with (
@@ -190,7 +157,7 @@ def shard_main(
             "buckets": plan.buckets,
             "fused": plan.fused_clouds,
             "singletons": plan.singleton_clouds,
-            "reused": len(replays) + len(dup_of),
+            "reused": split.reused,
             "cold": sources.count("cold"),
             "patched": sources.count("patched") + sources.count("reused"),
             "warm": sources.count("warm"),
