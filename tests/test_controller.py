@@ -1,254 +1,9 @@
-"""Tests for the adaptive window controller: bounds are inviolable,
-``W``/``T`` converge under steady load, the policy reacts to idle and
-busy streams in the right direction, and the p95 brake engages.
+"""Executor parity, collected under this module too.
 
-The controller consumes only timestamps handed to it, so every test
-drives it with a synthetic clock — no sleeping, no real time.
+The serving layer's window sizing is a fixed ``W``/``T`` pair; what this
+module pins is that the batched executor it drives stays bit-identical to
+the serial reference loop for every partitioner and every kernel
+selection. The cases live in :mod:`test_batch_parity`.
 """
 
-import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from test_batch_parity import TestExecutorParity, make_cloud
-
-from repro.runtime import BatchExecutor, PipelineSpec
-from repro.serve import AdaptiveWindow, ControllerConfig, WindowConfig
-from repro.serve.window import WindowedServer
-
-
-def feed_steady(controller, gap, count, start=0.0):
-    now = start
-    for _ in range(count):
-        controller.observe_arrival(now)
-        now += gap
-    return now
-
-
-class TestConfigValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError, match="min_clouds"):
-            ControllerConfig(min_clouds=0)
-        with pytest.raises(ValueError, match="min_clouds"):
-            ControllerConfig(min_clouds=8, max_clouds=4)
-        with pytest.raises(ValueError, match="min_wait"):
-            ControllerConfig(min_wait=0.0)
-        with pytest.raises(ValueError, match="min_wait"):
-            ControllerConfig(min_wait=0.2, max_wait=0.1)
-
-    def test_gains(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ControllerConfig(alpha=0.0)
-        with pytest.raises(ValueError, match="headroom"):
-            ControllerConfig(headroom=0.5)
-        with pytest.raises(ValueError, match="fuse_target"):
-            ControllerConfig(fuse_target=1)
-        with pytest.raises(ValueError, match="gather_min"):
-            ControllerConfig(gather_min=0.5)
-        with pytest.raises(ValueError, match="target_p95"):
-            ControllerConfig(target_p95=0.0)
-        with pytest.raises(ValueError, match="rolling"):
-            ControllerConfig(rolling=0)
-
-    def test_defaults_are_static_until_evidence(self):
-        config = ControllerConfig(max_clouds=24, max_wait=0.04)
-        controller = AdaptiveWindow(config)
-        assert controller.limits() == (24, 0.04)
-        controller.update()  # no arrivals observed yet
-        assert controller.limits() == (24, 0.04)
-
-
-class TestBoundsNeverViolated:
-    @settings(deadline=None, max_examples=100)
-    @given(
-        gaps=st.lists(
-            st.floats(0.0, 2.0, allow_nan=False), min_size=0, max_size=40
-        ),
-        latencies=st.lists(
-            st.floats(0.0, 5.0, allow_nan=False), min_size=0, max_size=40
-        ),
-        min_clouds=st.integers(1, 4),
-        max_clouds=st.integers(4, 64),
-        target=st.one_of(st.none(), st.floats(0.001, 1.0)),
-    )
-    def test_any_observation_sequence(
-        self, gaps, latencies, min_clouds, max_clouds, target
-    ):
-        """The ISSUE's bound obligation: whatever arrives — zero gaps,
-        huge gaps, wild latencies, brake engaged or not — every update
-        lands strictly inside the configured box."""
-        config = ControllerConfig(
-            min_clouds=min_clouds,
-            max_clouds=max(min_clouds, max_clouds),
-            min_wait=0.001,
-            max_wait=0.050,
-            target_p95=target,
-        )
-        controller = AdaptiveWindow(config)
-        now = 0.0
-        for i, gap in enumerate(gaps):
-            now += gap
-            controller.observe_arrival(now)
-            if i < len(latencies):
-                controller.observe_latency(latencies[i])
-            clouds, wait = controller.update()
-            assert config.min_clouds <= clouds <= config.max_clouds
-            assert config.min_wait <= wait <= config.max_wait
-            assert controller.limits() == (clouds, wait)
-
-
-class TestConvergence:
-    def test_steady_load_converges(self):
-        """Constant inter-arrival gaps: after a short warmup the policy
-        stops moving — the convergence obligation of the ISSUE."""
-        config = ControllerConfig(max_clouds=64, max_wait=0.05)
-        controller = AdaptiveWindow(config)
-        gap = 0.005  # 200 clouds/s
-        now = 0.0
-        history = []
-        for _ in range(30):
-            now = feed_steady(controller, gap, 8, start=now)
-            history.append(controller.update())
-        assert len(set(history[-10:])) == 1  # settled, not oscillating
-        clouds, wait = history[-1]
-        # 200/s supports batching: T targets the fusion sweet spot
-        # ((fuse_target-1)/rate = 75 ms, clamped to max_wait) and W is
-        # what that wait gathers plus headroom.
-        assert wait == pytest.approx(config.max_wait)
-        assert clouds == int(np.ceil((1 + 200 * wait) * config.headroom))
-
-    def test_idle_stream_drops_to_floor(self):
-        """A sparse stream (nothing to batch within max_wait) stops
-        paying the batching latency: both knobs hit their floor."""
-        config = ControllerConfig(max_clouds=16, max_wait=0.05)
-        controller = AdaptiveWindow(config)
-        feed_steady(controller, gap=0.5, count=10)  # 2 clouds/s
-        clouds, wait = controller.update()
-        assert clouds == config.min_clouds
-        assert wait == config.min_wait
-
-    def test_busy_stream_rides_the_ceiling(self):
-        config = ControllerConfig(max_clouds=16, max_wait=0.05)
-        controller = AdaptiveWindow(config)
-        feed_steady(controller, gap=0.0001, count=50)  # 10K clouds/s
-        clouds, wait = controller.update()
-        assert clouds == config.max_clouds
-        # the sweet-spot wait: tiny, but above the floor
-        assert config.min_wait <= wait < config.max_wait
-
-    def test_spare_capacity_dispatches_immediately(self):
-        """Moderate rate but a fast engine (utilisation far below
-        util_low): waiting buys no throughput, T collapses to the floor
-        — the idle-stream latency win of the A/B bench."""
-        config = ControllerConfig(max_clouds=16, max_wait=0.05)
-        controller = AdaptiveWindow(config)
-        feed_steady(controller, gap=0.012, count=20)  # ~83 clouds/s
-        controller.observe_service(0.004, clouds=4)  # 1 ms/cloud: rho ~0.08
-        clouds, wait = controller.update()
-        assert wait == config.min_wait
-        assert clouds < config.max_clouds
-
-    def test_loaded_engine_batches_at_full_strength(self):
-        config = ControllerConfig(max_clouds=16, max_wait=0.05)
-        fast = AdaptiveWindow(config)
-        loaded = AdaptiveWindow(config)
-        for controller in (fast, loaded):
-            feed_steady(controller, gap=0.012, count=20)
-        fast.observe_service(0.004, clouds=4)      # rho ~0.08
-        loaded.observe_service(0.048, clouds=4)    # rho ~1.0
-        assert loaded.update()[1] > fast.update()[1]
-        # full utilisation: the sweet-spot wait, same as no-signal mode
-        no_signal = AdaptiveWindow(config)
-        feed_steady(no_signal, gap=0.012, count=20)
-        assert loaded.update()[1] == pytest.approx(no_signal.update()[1])
-
-    def test_util_band_validation(self):
-        with pytest.raises(ValueError, match="util_low"):
-            ControllerConfig(util_low=0.9, util_high=0.5)
-        controller = AdaptiveWindow()
-        controller.observe_service(-1.0)  # ignored, not poisoned
-        controller.observe_service(0.01, clouds=0)
-        assert controller.service is None
-
-    def test_regime_change_tracks(self):
-        """Idle -> burst -> idle: the policy follows within a few
-        windows in each direction."""
-        config = ControllerConfig(max_clouds=32, max_wait=0.05, alpha=0.5)
-        controller = AdaptiveWindow(config)
-        now = feed_steady(controller, gap=0.5, count=8)
-        assert controller.update()[0] == config.min_clouds
-        now = feed_steady(controller, gap=0.0005, count=40, start=now)
-        assert controller.update()[0] > config.min_clouds
-        feed_steady(controller, gap=0.5, count=40, start=now)
-        assert controller.update()[0] == config.min_clouds
-
-
-class TestP95Brake:
-    def test_overshoot_shrinks_wait(self):
-        config = ControllerConfig(
-            max_clouds=16, max_wait=0.05, target_p95=0.010
-        )
-        braked = AdaptiveWindow(config)
-        free = AdaptiveWindow(
-            ControllerConfig(max_clouds=16, max_wait=0.05, target_p95=None)
-        )
-        for controller in (braked, free):
-            feed_steady(controller, gap=0.005, count=20)
-        for _ in range(4):
-            braked.observe_latency(0.050)  # 5x over budget
-            braked.update()
-            free.observe_latency(0.050)
-            free.update()
-        assert braked.max_wait < free.max_wait
-        assert braked.max_wait >= config.min_wait
-
-    def test_brake_releases_when_tail_recovers(self):
-        config = ControllerConfig(
-            max_clouds=16, max_wait=0.05, target_p95=0.010, rolling=8
-        )
-        controller = AdaptiveWindow(config)
-        feed_steady(controller, gap=0.005, count=20)
-        for _ in range(4):
-            controller.observe_latency(0.050)
-            controller.update()
-        braked_wait = controller.max_wait
-        for _ in range(16):
-            controller.observe_latency(0.001)  # healthy tail
-            controller.update()
-        assert controller.max_wait > braked_wait
-
-
-class TestWindowedServerAdaptive:
-    """The controller in situ: the single-stream server stays
-    bit-identical to the serial reference while resizing its windows."""
-
-    PIPELINE = PipelineSpec(radius=0.4, group_size=8)
-
-    def test_parity_and_bounds_with_controller(self):
-        clouds = [make_cloud(n, seed=4000 + n) for n in (40, 44, 48, 52, 60, 64, 70, 80)]
-        config = ControllerConfig(
-            min_clouds=1, max_clouds=4, min_wait=0.001, max_wait=0.02
-        )
-        controller = AdaptiveWindow(config)
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
-        with WindowedServer(engine, controller=controller) as server:
-            served = list(server.serve(iter(clouds), self.PIPELINE))
-        assert [r.index for r in served] == list(range(len(clouds)))
-        for coords, result in zip(clouds, served):
-            ref = TestExecutorParity.reference_pipeline(
-                np.asarray(coords, dtype=np.float64), "kdtree", 16,
-                self.PIPELINE,
-            )
-            assert np.array_equal(ref[0], result.sampled)
-            assert np.array_equal(ref[1], result.neighbors)
-            assert np.array_equal(ref[2], result.grouped)
-            assert np.array_equal(ref[3], result.interpolated)
-        assert controller.updates == server.telemetry.windows
-        assert config.min_clouds <= controller.max_clouds <= config.max_clouds
-        assert config.min_wait <= controller.max_wait <= config.max_wait
-
-    def test_static_server_has_no_controller(self):
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
-        server = WindowedServer(engine, WindowConfig(max_clouds=4))
-        assert server.controller is None
-        assert server._limits() == (4, server.window.max_wait)
+from test_batch_parity import TestExecutorParity  # noqa: F401
