@@ -1,11 +1,17 @@
 """The serve loops' shared front end: puller thread, bounded inbox, and
 the one window close rule.
 
-Both in-process servers (:class:`~repro.serve.window.WindowedServer` and
-:class:`~repro.serve.tenancy.MultiTenantServer`) pull their source on a
-side thread into a bounded queue and assemble windows from it.
-:class:`Inbox` owns that thread and queue; :meth:`Inbox.gather`
-assembles one window and says why it closed:
+All three servers (:class:`~repro.serve.window.WindowedServer`,
+:class:`~repro.serve.tenancy.MultiTenantServer` and
+:class:`~repro.shard.router.ShardRouter`) pull their source on a side
+thread into a bounded queue.  :class:`Inbox` owns that thread and queue.
+The puller also writes one byte to a self-pipe after every delivery, so
+an event loop can wait on :meth:`Inbox.fileno` beside other file
+descriptors: the router waits on it together with its shard pipes.  The
+windowed servers never read the pipe; its write end is non-blocking and
+a full pipe is ignored, so unread wake bytes never stall the puller.
+
+:meth:`Inbox.gather` assembles one window and says why it closed:
 
 - ``full``    — ``max_clouds`` arrivals are in hand;
 - ``timeout`` — ``max_wait`` passed since the window opened (the hard
@@ -17,6 +23,7 @@ assembles one window and says why it closed:
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 from collections.abc import Callable, Iterable
@@ -49,8 +56,10 @@ class Inbox:
 
     A daemon thread drains ``source`` into a queue of ``capacity``
     entries, stamping each arrival with ``clock()``; a slow consumer
-    stalls the pull, never memory.  Use as a context manager: leaving it
-    stops and joins the puller.
+    stalls the pull, never memory.  After each delivery (the end marker
+    included) the puller writes a wake byte to :meth:`fileno`'s pipe.
+    Use as a context manager: leaving it stops and joins the puller and
+    closes the pipe.
     """
 
     def __init__(
@@ -65,6 +74,12 @@ class Inbox:
         self._stop = threading.Event()
         self._exhausted = False
         self._error: BaseException | None = None
+        # Self-pipe, both ends non-blocking.  The puller owns the write
+        # end and closes it on exit, so it never writes to a closed (or
+        # reused) descriptor number.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._puller = threading.Thread(
             target=self._pull, args=(source, clock), name=name, daemon=True
         )
@@ -74,9 +89,13 @@ class Inbox:
         while not self._stop.is_set():
             try:
                 self._queue.put(item, timeout=0.05)
-                return
             except queue.Full:
                 continue
+            try:
+                os.write(self._wake_w, b"\0")
+            except OSError:  # pipe full (nobody reads it) or reader gone
+                pass
+            return
 
     def _pull(self, source, clock) -> None:
         try:
@@ -88,17 +107,45 @@ class Inbox:
             self._put((_DONE, exc))
         else:
             self._put((_DONE, None))
+        finally:
+            os.close(self._wake_w)
 
     @property
     def depth(self) -> int:
         """Arrivals queued behind the window in hand."""
         return self._queue.qsize()
 
-    def _take(self, admit, timeout: float | None) -> bool:
-        """Admit the next arrival; ``False`` when none came in time or
-        the source ended."""
+    @property
+    def exhausted(self) -> bool:
+        """The end marker has been taken: the source is done."""
+        return self._exhausted
+
+    @property
+    def error(self) -> BaseException | None:
+        """What the source raised, once :attr:`exhausted` (else ``None``)."""
+        return self._error
+
+    def fileno(self) -> int:
+        """Read end of the wake pipe: readable once an arrival (or the
+        end of the source) is queued.  Wake bytes accumulate until
+        :meth:`drain_wakeups`; an arrival may also already be taken when
+        its byte is seen, so treat readiness as a hint and :meth:`take`
+        with ``timeout=0``."""
+        return self._wake_r
+
+    def drain_wakeups(self) -> None:
+        """Discard the wake bytes written so far."""
         try:
-            entry, stamp = self._queue.get(timeout=timeout)
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def take(self, admit, timeout: float | None) -> bool:
+        """Admit the next arrival; ``False`` when none came in time or
+        the source ended.  ``timeout=0`` polls, ``None`` blocks."""
+        try:
+            entry, stamp = self._queue.get(timeout != 0, timeout)
         except queue.Empty:
             return False
         if entry is _DONE:  # the puller's (_DONE, exception or None)
@@ -126,7 +173,7 @@ class Inbox:
         """
         held = backlog
         if not held:
-            if self._exhausted or not self._take(admit, None):
+            if self._exhausted or not self.take(admit, None):
                 if self._error is not None:
                     raise self._error
                 return None
@@ -138,19 +185,24 @@ class Inbox:
             remaining = deadline - obs.now()
             if remaining <= 0:
                 return TIMEOUT
-            if not self._take(admit, min(remaining, IDLE_GRACE)):
+            if not self.take(admit, min(remaining, IDLE_GRACE)):
                 quiet = self._exhausted or IDLE_GRACE < remaining
                 return IDLE if quiet else TIMEOUT
             held += 1
         return FULL
 
     def close(self) -> None:
-        """Stop the puller.  Bounded: ``_put`` polls the stop event
-        every 50 ms, so the thread exits promptly unless the *source*
-        iterator itself is blocked — then the timeout abandons the
-        daemon thread rather than hanging shutdown."""
+        """Stop the puller and close the wake pipe's read end.  Bounded:
+        ``_put`` polls the stop event every 50 ms, so the thread exits
+        promptly (closing the write end) unless the *source* iterator
+        itself is blocked — then the timeout abandons the daemon thread
+        rather than hanging shutdown, and the write end closes whenever
+        the source lets the thread finish."""
         self._stop.set()
         self._puller.join(timeout=1.0)
+        if self._wake_r >= 0:
+            os.close(self._wake_r)
+            self._wake_r = -1
 
     def __enter__(self) -> "Inbox":
         return self

@@ -31,6 +31,17 @@ against a worker blocked writing a large inline result in ``pickle``
 mode.  Results are copied out of the arena at the emission boundary
 (ownership leaves the transport there) and the blocks are recycled.
 
+Serving is event-driven: :meth:`ShardRouter.serve` pulls the source on
+a side thread (:class:`~repro.serve.inbox.Inbox`, bounded by
+``max_in_flight``) and the main thread waits on one set — every shard
+pipe, every worker's process sentinel, and the inbox's wake fd while
+more requests may be admitted.  A result is emitted as soon as its
+worker replies, not when the next request happens to arrive, and a
+request is routed as soon as it arrives, even while results are
+outstanding.  A worker that dies (its sentinel fires, or its pipe hits
+EOF) fails the stream with a :class:`RuntimeError` naming the shard
+instead of hanging it; :meth:`close` still reclaims every arena.
+
 Ordering: results are emitted in global submission order — a total order
 that in particular preserves every stream's own order — via a reorder
 buffer, exactly like the single-process servers.  Membership changes are
@@ -51,6 +62,7 @@ from multiprocessing import connection as mp_connection
 from .. import obs
 from ..runtime.cache import result_key
 from ..runtime.executor import CloudResult, PipelineSpec, _as_cloud
+from ..serve.inbox import Inbox
 from .hashring import HashRing
 from .transport import PickleChannel, ShmArena, ShmPeer
 from .worker import shard_main, unpack_result
@@ -90,6 +102,7 @@ class _Shard:
     process: mp.process.BaseProcess
     conn: object  # router end of the duplex pipe
     channel: object  # request arena (router-owned)
+    arena: str = ""  # the worker's response arena ("" under pickle)
     outbox: queue.SimpleQueue = field(default_factory=queue.SimpleQueue)
     sender: threading.Thread | None = None
     peer: ShmPeer = field(default_factory=ShmPeer)
@@ -201,6 +214,7 @@ class ShardRouter:
         self._next_emit = 0
         self._stream_seq: dict[str, int] = {}
         self._drain_tokens = 0
+        self._inbox: Inbox | None = None  # the source, while serve() runs
         self._closed = False
         names = (
             [f"shard-{i}" for i in range(shards)]
@@ -252,6 +266,7 @@ class ShardRouter:
         msg = router_conn.recv()
         if msg[0] != "ready" or msg[1] != name:
             raise RuntimeError(f"bad handshake from {name!r}: {msg[:2]!r}")
+        shard.arena = msg[2]
         self._shards[name] = shard
         self._ring.add(name)
 
@@ -278,14 +293,25 @@ class ShardRouter:
     def _stop_shard(self, shard: _Shard) -> None:
         shard.outbox.put(("stop",))
         shard.outbox.put(None)  # sender exits once the stop is on the wire
-        while True:
-            msg = shard.conn.recv()
-            if msg[0] == "stopped" and msg[1] == shard.name:
-                break
-            self._handle(msg)
+        stopped = False
+        try:
+            while True:
+                # Waiting on the sentinel too: a dead worker never answers.
+                mp_connection.wait([shard.conn, shard.process.sentinel])
+                if not shard.conn.poll(0):
+                    break  # exited with nothing left on the pipe
+                msg = shard.conn.recv()
+                if msg[0] == "stopped" and msg[1] == shard.name:
+                    stopped = True
+                    break
+                self._handle(msg)
+        except (EOFError, OSError):
+            pass  # the worker died; its pipe is closed
         if shard.sender is not None:
             shard.sender.join(timeout=5)
         shard.process.join(timeout=10)
+        if not stopped and shard.arena:
+            shard.peer.unlink(shard.arena)  # a dead worker cannot
         shard.peer.close()      # detach from the worker's (unlinked) arena
         shard.channel.close()   # unlink the router-owned request arena
         shard.conn.close()
@@ -389,16 +415,46 @@ class ShardRouter:
     def pump(self, *, block: bool = False) -> Iterator[ShardResult]:
         """Absorb worker messages; yield whatever became emittable.
 
-        With ``block=True`` waits until at least one shard reports
-        (progress guarantee for the flow-control loop).
+        With ``block=True`` waits until a shard reports or — while
+        :meth:`serve` may admit more — a request arrives.  A worker that
+        died raises :class:`RuntimeError`.
         """
         yield from self._emit_ready()
-        conns = [s.conn for s in self._shards.values()]
-        if conns:
-            ready = mp_connection.wait(conns, timeout=None if block else 0)
-            for conn in ready:
-                while conn.poll(0):
-                    self._handle(conn.recv())
+        waits: dict[object, _Shard | None] = {}
+        for shard in self._shards.values():
+            waits[shard.conn] = shard
+            waits[shard.process.sentinel] = shard
+        inbox = self._inbox
+        if (
+            inbox is not None
+            and not inbox.exhausted
+            and len(self._pending) < self.max_in_flight
+        ):
+            waits[inbox.fileno()] = None
+        if waits:
+            ready = mp_connection.wait(
+                list(waits), timeout=None if block else 0
+            )
+            dead = None
+            for obj in ready:
+                shard = waits[obj]
+                if shard is None:
+                    inbox.drain_wakeups()
+                elif obj is shard.conn:
+                    try:
+                        while shard.conn.poll(0):
+                            self._handle(shard.conn.recv())
+                    except (EOFError, OSError):
+                        dead = shard
+                else:
+                    dead = shard
+            if dead is not None:
+                dead.process.join(timeout=1)  # the sentinel can beat the reap
+                raise RuntimeError(
+                    f"shard {dead.name!r} died (exit code "
+                    f"{dead.process.exitcode}) with {dead.in_flight} "
+                    "request(s) in flight"
+                )
         yield from self._emit_ready()
 
     def serve(
@@ -407,10 +463,14 @@ class ShardRouter:
         """Serve a stream of clouds (or ``(stream, cloud)`` pairs).
 
         Yields one :class:`ShardResult` per submission, in submission
-        order.  Flow control: at most ``max_in_flight`` requests ride
-        the shards at once; beyond that, submission blocks on results.
+        order, as soon as its worker has replied.  The source is pulled
+        on a side thread, at most ``max_in_flight`` clouds ahead; at
+        most ``max_in_flight`` requests ride the shards at once, and
+        beyond that the pull stalls until results come back.  An
+        exception from the source re-raises here once every request
+        submitted before it has been delivered.
         """
-        for item in clouds:
+        def admit(item, _arrived) -> None:
             if (
                 isinstance(item, tuple)
                 and len(item) == 2
@@ -420,10 +480,24 @@ class ShardRouter:
             else:
                 stream, cloud = default_stream, item
             self.submit(cloud, stream=stream)
-            yield from self.pump()
-            while len(self._pending) >= self.max_in_flight:
-                yield from self.pump(block=True)
-        yield from self.flush()
+
+        with Inbox(
+            clouds, capacity=self.max_in_flight, name="repro-router-pull"
+        ) as inbox:
+            self._inbox = inbox
+            try:
+                while not inbox.exhausted:
+                    while (
+                        len(self._pending) < self.max_in_flight
+                        and inbox.take(admit, 0)
+                    ):
+                        pass
+                    yield from self.pump(block=not inbox.exhausted)
+            finally:
+                self._inbox = None
+            yield from self.flush()
+            if inbox.error is not None:
+                raise inbox.error
 
     def flush(self) -> Iterator[ShardResult]:
         """Deliver every outstanding request."""

@@ -191,6 +191,22 @@ class ShmPeer:
     def unpack_many(self, refs, *, copy: bool = False) -> list[np.ndarray]:
         return [self.unpack(ref, copy=copy) for ref in refs]
 
+    def unlink(self, name: str) -> None:
+        """Unlink segment ``name`` on behalf of an owner that died before
+        it could; a segment that is already gone is ignored."""
+        shm = self._segments.pop(name, None)
+        try:
+            if shm is None:
+                shm = shared_memory.SharedMemory(name=name)
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+        if shm is not None:
+            try:
+                shm.close()
+            except BufferError:  # a live view; the mapping goes with it
+                pass
+
     def close(self) -> None:
         """Detach every attached segment (does not unlink — the owner
         does that)."""

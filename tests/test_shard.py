@@ -12,13 +12,24 @@ The obligations, layer by layer:
   order, bit-identical to the single-process windowed server over the
   same stream — across both transports, and across drains and joins;
 - stream-affine routing keeps delta streams shard-local, so incremental
-  patching still happens behind the router.
+  patching still happens behind the router;
+- serving is event-driven: a result comes back while the source is
+  quiet, a source error or an early ``close()`` of the stream releases
+  the puller and its fds, and a dead worker fails the stream instead of
+  hanging it.
 """
+
+import itertools
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitize import extra_shm_segments, shm_segments
 from repro.datasets import load_cloud
 from repro.runtime import BatchExecutor
 from repro.serve import LoadSpec, WindowConfig, WindowedServer, generate
@@ -325,3 +336,97 @@ class TestShardRouter:
             ShardRouter(2, engine=ENGINE, transport="carrier-pigeon")
         with pytest.raises(ValueError):
             ShardRouter(2, engine=ENGINE, affinity="random")
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def repro_threads() -> list[str]:
+    return sorted(
+        t.name for t in threading.enumerate() if t.name.startswith("repro")
+    )
+
+
+class TestEventDrivenServe:
+    def test_result_returns_while_the_source_is_quiet(self):
+        clouds = clouds_for(2, seed=200)
+        got_first = threading.Event()
+        source_timed_out = []
+
+        def source():
+            yield clouds[0]
+            # Only the consumer's receipt of cloud 0 ends this lull.
+            source_timed_out.append(not got_first.wait(5.0))
+            yield clouds[1]
+
+        with ShardRouter(1, engine=ENGINE) as router:
+            served = []
+            for item in router.serve(source()):
+                served.append(item)
+                got_first.set()
+        assert source_timed_out == [False]
+        assert [s.seq for s in served] == [0, 1]
+
+    def test_source_error_reraises_after_delivering_earlier_requests(self):
+        class SourceFailed(Exception):
+            pass
+
+        clouds = clouds_for(3, seed=210)
+
+        def source():
+            yield from clouds
+            raise SourceFailed("wire truncated")
+
+        with ShardRouter(2, engine=ENGINE) as router:
+            served = []
+            with pytest.raises(SourceFailed, match="wire truncated"):
+                for item in router.serve(source()):
+                    served.append(item)
+            assert [s.seq for s in served] == [0, 1, 2]
+            # The router is still usable after a failed stream.
+            assert len(list(router.serve(clouds[:1]))) == 1
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_early_close_releases_the_puller_and_its_fds(self):
+        clouds = clouds_for(4, seed=220)
+        with ShardRouter(2, engine=ENGINE) as router:
+            list(router.serve(clouds))  # attach both response arenas
+            senders = repro_threads()
+            baseline = open_fds()
+            stream = router.serve(itertools.cycle(clouds))  # never ends
+            for _ in range(3):
+                next(stream)
+            stream.close()
+            assert open_fds() == baseline
+            assert repro_threads() == senders
+        assert repro_threads() == []
+
+    def test_killed_worker_fails_the_stream_and_close_cleans_up(self):
+        clouds = clouds_for(6, seed=240)
+        shm_before = shm_segments()
+        killed = threading.Event()
+
+        def source():
+            yield clouds[0]
+            killed.wait(5.0)
+            yield from clouds[1:]  # routed to the dead worker
+
+        router = ShardRouter(1, engine=ENGINE)
+        try:
+            worker = router._shards["shard-0"].process
+            start = time.monotonic()
+            with pytest.raises(
+                RuntimeError,
+                match=r"shard 'shard-0' died \(exit code -9\).*in flight",
+            ):
+                for _ in router.serve(source()):
+                    os.kill(worker.pid, signal.SIGKILL)
+                    killed.set()
+            assert time.monotonic() - start < 5.0
+        finally:
+            router.close()
+        assert not worker.is_alive()
+        assert extra_shm_segments(shm_before) == []
