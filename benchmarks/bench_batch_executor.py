@@ -8,9 +8,9 @@ least 2x wall-clock throughput.  Measured, not asserted from theory.
 Two batches are measured so the win decomposes honestly:
 
 - ``16 distinct clouds`` — worst case for the engine (every request is
-  new); the gain is the stacked block ops alone.  On a multi-core host
-  the worker pool adds real overlap on top; this container exposes a
-  single core, so no parallel speedup is available to any configuration.
+  new); the gain is the dispatched block kernels alone.  On a multi-core
+  host the worker pool adds real overlap on top; on a single core no
+  parallel speedup is available to any configuration.
 - ``16 requests, 6 unique scenes`` — serving-shaped traffic (repeated
   frames, retries, popular assets).  Request deduplication and the
   content-hash partition cache let the engine skip repeated work

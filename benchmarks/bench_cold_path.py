@@ -1,21 +1,12 @@
-"""Extension bench — the cold path and the streaming-frames delta path.
+"""Extension bench — the streaming-frames delta path.
 
-Two lanes around partition construction, the serving layer's cold cost:
-
-- **cold build**: the fused build-and-sample kernel
-  (:func:`repro.core.coldpath.fused_build_and_sample`, via
-  :func:`repro.core.dispatch.run_build`) against separate
-  build-then-sample.  Fusion folds the FPS seed scan into the partition
-  sweep, but each leaf still runs the per-block loop recurrence, while
-  the two-pass build dispatches its FPS (ragged at these sizes, 2x
-  cheaper end to end); the paper's gain needs the on-chip pipeline, so
-  this lane asserts bit-parity, not speed.
-- **frame sequence**: a streaming sensor (the loadgen ``frames``
-  profile) served by the delta-enabled :class:`PartitionCache` against a
-  full rebuild per frame.  Certificate verification is one vectorised
-  pass and the incremental updater touches only churned points, so the
-  acceptance bar is >= 1.3x on the jittered sequence — measured, not
-  assumed.
+Partition construction is the serving layer's cold cost.  A streaming
+sensor (the loadgen ``frames`` profile) served by the delta-enabled
+:class:`PartitionCache` is measured against a full rebuild per frame, on
+two frame sequences.  Certificate verification is one vectorised pass
+and the incremental updater touches only churned points, so the
+acceptance bar is >= 1.3x on the jittered sequence — measured, not
+assumed.
 
 The churned lane carries its own speed bar since the updater went
 batch-vectorised: insert/remove/move land per leaf as bulk set updates
@@ -29,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.core import PatchPolicy, run_build
+from repro.core import PatchPolicy
 from repro.partition import get_partitioner
 from repro.runtime import PartitionCache
 from repro.serve import LoadSpec, generate
@@ -39,10 +30,8 @@ from _common import best_time, emit
 pytestmark = pytest.mark.slow
 
 BLOCK_SIZE = 256
-N_COLD = (4096, 16384)
 N_FRAME = 16384
 FRAMES = 8
-SAMPLE_RATIO = 0.25
 
 #: (label, frame_motion, frame_churn).  The churn lane keeps motion at
 #: zero so it isolates insert/delete patching (nonzero jitter marks
@@ -61,36 +50,6 @@ def _frame_stream(motion, churn, seed=0):
         frame_churn=churn, seed=seed,
     )
     return list(generate(spec))
-
-
-def run_cold_lane(rows):
-    partitioner = get_partitioner("fractal", max_points_per_block=BLOCK_SIZE)
-    for n in N_COLD:
-        rng = np.random.default_rng(n)
-        coords = rng.normal(size=(n, 3))
-        samples = max(1, round(SAMPLE_RATIO * n))
-        times = {}
-        results = {}
-        for kernel in ("build_then_sample", "fused"):
-            times[kernel], results[kernel] = best_time(
-                lambda k=kernel: run_build(partitioner, coords, samples,
-                                           kernel=k)
-            )
-        # Fusion must not change a bit: same blocks, same sample set.
-        ref_s, ref_idx = results["build_then_sample"][:2]
-        fused_s, fused_idx = results["fused"][:2]
-        assert np.array_equal(fused_idx, ref_idx)
-        assert fused_s.num_blocks == ref_s.num_blocks
-        for a, b in zip(fused_s.blocks, ref_s.blocks):
-            assert np.array_equal(a.indices, b.indices)
-        base = times["build_then_sample"]
-        for kernel in ("build_then_sample", "fused"):
-            rows.append([
-                "cold build", n, "-", kernel,
-                f"{times[kernel] * 1e3:.0f}",
-                f"{base / times[kernel]:.2f}x",
-                "-",
-            ])
 
 
 def run_frame_lane(rows):
@@ -113,17 +72,17 @@ def run_frame_lane(rows):
         t_rebuild, rebuilt = best_time(run_rebuild)
         t_delta, served = best_time(run_delta)
 
-        outcomes = [outcome for _, outcome, _ in served]
+        outcomes = [outcome for _, outcome in served]
         split = (f"{outcomes.count('cold')}/{outcomes.count('reused')}"
                  f"/{outcomes.count('patched')}")
         # Every served partition is a valid partition of its frame.
-        for (structure, outcome, _), frame in zip(served, frames):
+        for (structure, _), frame in zip(served, frames):
             structure.validate()
             assert structure.num_points == len(frame)
         if churn == 0.0:
             # Jitter-only: certificate reuse is proven rebuild-identical.
             assert set(outcomes) <= {"cold", "reused"}
-            for (structure, _, _), ref in zip(served, rebuilt):
+            for (structure, _), ref in zip(served, rebuilt):
                 for a, b in zip(structure.blocks, ref.blocks):
                     assert np.array_equal(a.indices, b.indices)
         else:
@@ -143,13 +102,12 @@ def run_frame_lane(rows):
 
 def run_bench():
     rows = []
-    run_cold_lane(rows)
     speedups = run_frame_lane(rows)
     table = format_table(
         ["lane", "points", "frames", "path", "ms", "speedup",
          "cold/reused/patched"],
         rows,
-        title="cold-path fusion + streaming-frames delta protocol "
+        title="streaming-frames delta protocol "
               f"(fractal, threshold {BLOCK_SIZE})",
     )
     return table, speedups

@@ -37,8 +37,8 @@ def main() -> None:
     structure = tree.block_structure()
 
     # 3. Block-wise FPS vs exact FPS.  Ops go through the dispatcher,
-    # which picks the fastest kernel (loop / stacked / ragged) from its
-    # cost model — pass kernel="loop" etc. to pin one.
+    # which picks the faster kernel (loop / ragged) from its cost
+    # model — pass kernel="loop" or kernel="ragged" to pin one.
     n_samples = 1024
     sampled, fps_trace = dispatch.run_op(
         "fps", structure, coords, n_samples, num_centers=n_samples

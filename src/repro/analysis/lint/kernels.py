@@ -1,13 +1,13 @@
 """Kernel-routing invariants: REP001 (dispatch) and REP002 (env reads).
 
-The repo's headline guarantee — every kernel (`loop`/`stacked`/`ragged`,
-and the fused cold builds) is bit-identical — only holds because every
+The repo's headline guarantee — the two kernels of every op (`loop` and
+`ragged`) are bit-identical and chosen one way — only holds because every
 call site routes through :mod:`repro.core.dispatch`, where the
 precedence contract (explicit argument > ``REPRO_*`` environment > cost
-model) lives in exactly one place.  PR 3 fixed a real bug of this class:
-an explicit ``kernel=`` argument was beaten by ``REPRO_KERNEL`` because
-a second call site re-implemented the env lookup with the order
-inverted.  These two rules keep the contract single-homed.
+model) lives in exactly one place.  A real bug of this class once let
+``REPRO_KERNEL`` beat an explicit ``kernel=`` argument, because a second
+call site re-implemented the env lookup with the order inverted.  These
+two rules keep the contract single-homed.
 """
 
 from __future__ import annotations
@@ -22,22 +22,17 @@ __all__ = ["DIRECT_KERNELS", "KERNEL_HOME"]
 _OPS = ("fps", "ball_query", "knn", "interpolate", "gather")
 
 #: Implementation entry points that bypass the dispatcher when called
-#: directly: the per-block loop kernels, the padded stacked fast paths,
-#: and the fused ragged CSR kernels.
+#: directly: the per-block loop kernels and the fused ragged CSR kernels.
 DIRECT_KERNELS = frozenset(
-    {f"block_{op}" for op in _OPS}
-    | {f"block_{op}_batched" for op in _OPS}
-    | {f"ragged_{op}" for op in _OPS}
+    {f"block_{op}" for op in _OPS} | {f"ragged_{op}" for op in _OPS}
 )
 
 #: Modules allowed to touch kernel implementations: where they are
-#: defined (bppo, ragged), the dispatcher itself, and the fused cold
-#: path (which interleaves FPS with construction below the dispatcher).
+#: defined (bppo, ragged) and the dispatcher itself.
 KERNEL_HOME = (
     "repro.core.dispatch",
     "repro.core.ragged",
     "repro.core.bppo",
-    "repro.core.coldpath",
 )
 
 
@@ -84,15 +79,15 @@ def _is_repro_env_key(node: ast.AST) -> bool:
     "REP002",
     "env-read-outside-dispatch",
     "REPRO_* environment overrides may be read only via the dispatch "
-    "accessors (resolve_kernel/resolve_build_kernel)",
+    "accessors (resolve_kernel/resolve_agg)",
 )
 def check_env_reads(ctx: ModuleContext):
     if ctx.in_module(*_ENV_HOME):
         return
     message = (
         "reads a REPRO_* override outside repro.core.dispatch; ad-hoc env "
-        "lookups re-risk the PR 3 precedence bug — call "
-        "dispatch.resolve_kernel/resolve_build_kernel instead"
+        "lookups re-risk the precedence bug — call "
+        "dispatch.resolve_kernel/resolve_agg instead"
     )
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):

@@ -51,6 +51,7 @@ from . import obs
 
 from .analysis import format_table
 from .core.delta import PatchPolicy
+from .core.dispatch import KERNEL_NAMES
 from .datasets import DATASET_NAMES, load_cloud, scale_points
 from .hw import AcceleratorSim, GPUModel, SOTA_CONFIGS
 from .infer import MODEL_NAMES, model_spec
@@ -284,7 +285,6 @@ def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
             if args.delta
             else None
         ),
-        build_kernel=args.build,
     )
     pipeline = PipelineSpec(
         sample_ratio=args.sample_ratio,
@@ -407,7 +407,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.delta
             else None
         ),
-        build_kernel=args.build,
     )
     pipeline = PipelineSpec(
         sample_ratio=args.sample_ratio,
@@ -576,14 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-ratio", type=float, default=0.25)
     p.add_argument("--radius", type=float, default=0.2)
     p.add_argument("--group-size", type=int, default=16)
-    p.add_argument("--kernel", choices=["auto", "loop", "stacked", "ragged"],
-                   default="auto",
+    p.add_argument("--kernel", choices=KERNEL_NAMES, default="auto",
                    help="block-op implementation: 'loop' = per-block serial "
-                        "reference, 'stacked' = padded (B, n, 3) fast path "
-                        "(small blocks), 'ragged' = fused CSR segment "
-                        "kernels (mid-size blocks), 'auto' = cost-model "
-                        "dispatch per call from block statistics; all four "
-                        "are bit-identical (an explicit choice here beats "
+                        "reference (large blocks), 'ragged' = fused CSR "
+                        "segment kernels over every block at once (small "
+                        "and mid-size blocks), 'auto' = cost-model dispatch "
+                        "per call from block statistics; all are "
+                        "bit-identical (an explicit choice here beats "
                         "REPRO_KERNEL, which only fills in for 'auto')")
     p.add_argument("--fuse", action="store_true",
                    help="size-bucket the batch and fuse each bucket into one "
@@ -729,8 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitioner", choices=PARTITIONER_NAMES, default="fractal")
     p.add_argument("--block-size", type=int, default=256)
     p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--kernel", choices=["auto", "loop", "stacked", "ragged"],
-                   default="auto")
+    p.add_argument("--kernel", choices=KERNEL_NAMES, default="auto",
+                   help="block-op implementation: 'loop' (per-block "
+                        "reference), 'ragged' (fused CSR kernels) or 'auto' "
+                        "(cost-model dispatch); all are bit-identical")
     p.add_argument("--delta", action="store_true",
                    help="streaming-frames delta protocol: serve near-miss "
                         "frames by certificate-verified reuse or "
@@ -739,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion-threshold", type=float, default=0.1,
                    help="delta protocol: max per-point drift a frame may "
                         "show and still qualify for reuse/patching")
-    p.add_argument("--build", choices=["auto", "build_then_sample", "fused"],
-                   default="auto",
-                   help="cold-build strategy on cache misses: 'fused' "
-                        "interleaves FPS with partition construction "
-                        "(bit-identical; REPRO_BUILD fills in for 'auto')")
     p.add_argument("--fuse-max-points", type=int, default=262_144,
                    help="fused-bucket point budget (0 = unbounded)")
     p.add_argument("--fuse-max-spread", type=float, default=4.0,

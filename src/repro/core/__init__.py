@@ -5,13 +5,11 @@
 - :class:`FractalTree` / :class:`BlockLayout` — binary tree and its
   DFT-contiguous memory layout.
 - :mod:`repro.core.bppo` — block-parallel sampling, neighbour search,
-  interpolation, and gathering (per-block loop + padded stacked paths).
+  interpolation, and gathering (the per-block loop kernels).
 - :mod:`repro.core.ragged` — the CSR block layout and fused segment-wise
-  kernels for the mid-size block regime (and whole-cloud fusion).
+  kernels for small and mid-size blocks (and whole-cloud fusion).
 - :mod:`repro.core.dispatch` — the kernel registry and cost-model
-  dispatcher choosing ``loop | stacked | ragged`` per call.
-- :mod:`repro.core.coldpath` — the fused build-and-sample cold-path
-  kernel (FPS interleaved with partition construction).
+  dispatcher choosing ``loop | ragged`` per call.
 - :mod:`repro.core.delta` — frame deltas, rebuild certificates, and the
   incremental-update glue of the streaming-frames protocol.
 """
@@ -22,25 +20,15 @@ from .bppo import (
     OpTrace,
     allocate_samples,
     block_ball_query,
-    block_ball_query_batched,
     block_fps,
-    block_fps_batched,
     block_gather,
-    block_gather_batched,
     block_interpolate,
-    block_interpolate_batched,
     block_knn,
-    block_knn_batched,
 )
 from .config import (
     DEFAULT_LARGE_SCALE_THRESHOLD,
     DEFAULT_SMALL_SCALE_THRESHOLD,
     FractalConfig,
-)
-from .coldpath import (
-    FusedBuildUnsupported,
-    fused_build_and_sample,
-    supports_fused_build,
 )
 from .delta import (
     FrameDelta,
@@ -53,9 +41,7 @@ from .dispatch import (
     BUILD_KERNEL_NAMES,
     KERNEL_NAMES,
     KERNELS,
-    choose_build_kernel,
     choose_kernel,
-    resolve_build_kernel,
     resolve_kernel,
     run_build,
     run_op,
@@ -88,7 +74,6 @@ __all__ = [
     "FractalNode",
     "FractalTree",
     "FrameDelta",
-    "FusedBuildUnsupported",
     "KERNELS",
     "KERNEL_NAMES",
     "OpTrace",
@@ -100,22 +85,15 @@ __all__ = [
     "attach_certificate",
     "certificate_of",
     "block_ball_query",
-    "block_ball_query_batched",
     "block_fps",
-    "block_fps_batched",
     "block_gather",
-    "block_gather_batched",
     "block_interpolate",
-    "block_interpolate_batched",
     "block_knn",
-    "block_knn_batched",
     "block_knn_graph",
-    "choose_build_kernel",
     "choose_kernel",
     "edge_recall",
     "exact_knn_graph",
     "fractal_partition",
-    "fused_build_and_sample",
     "load_block_structure",
     "ragged_ball_query",
     "ragged_fps",
@@ -123,12 +101,10 @@ __all__ = [
     "ragged_interpolate",
     "ragged_knn",
     "ragged_of",
-    "resolve_build_kernel",
     "resolve_kernel",
     "run_build",
     "run_op",
     "save_block_structure",
     "save_tree",
-    "supports_fused_build",
     "updater_from_certificate",
 ]

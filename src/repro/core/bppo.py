@@ -36,31 +36,11 @@ __all__ = [
     "OpTrace",
     "allocate_samples",
     "block_fps",
-    "block_fps_batched",
     "block_ball_query",
-    "block_ball_query_batched",
     "block_knn",
-    "block_knn_batched",
     "block_interpolate",
-    "block_interpolate_batched",
     "block_gather",
-    "block_gather_batched",
 ]
-
-#: Element budget (centres × candidates × blocks) for one stacked batch;
-#: bounds the padded distance stack (and its 3-vector broadcast
-#: intermediate) of the batched fast paths to tens of megabytes.
-_STACK_BUDGET = 1 << 21
-
-#: A block whose centres × search-space product is at or below this runs
-#: through the stacked path; bigger blocks are already dominated by their
-#: own GEMM and only pay the padding + copy tax of stacking, so they
-#: take the per-block path.  Must not exceed
-#: ``repro.geometry.ops._DIRECT_FORM_MAX`` — that keeps every stacked
-#: slice on the elementwise distance form, whose bits are independent of
-#: stacking.  Either plan returns bit-identical results — this constant
-#: tunes speed, never semantics.
-_STACK_SMALL = 128
 
 
 @dataclass
@@ -392,8 +372,8 @@ def _interpolate_from_neighbors(
     neighbors: np.ndarray,
 ) -> np.ndarray:
     """Inverse-distance blend of neighbour features (shared by the serial,
-    batched, ragged, and fused interpolation paths, so identical
-    neighbours give bit-identical features)."""
+    ragged, and fused interpolation paths, so identical neighbours give
+    bit-identical features)."""
     # Map global candidate ids back to feature rows.
     feature_row = np.full(num_points, -1, dtype=np.int64)
     feature_row[np.asarray(candidate_indices, dtype=np.int64)] = np.arange(
@@ -447,287 +427,3 @@ def block_gather(
             )
         )
     return gathered, trace
-
-
-# ---------------------------------------------------------------------------
-# Batched fast paths
-#
-# Functionally identical to the serial operations above (the parity suite
-# in tests/test_batch_parity.py asserts bit-level agreement), but instead
-# of visiting blocks one at a time they stack compatible blocks into
-# (B, n, 3) arrays and run each search once per stack — the software
-# analogue of the paper's "all blocks execute concurrently" claim, and the
-# per-cloud fast path of repro.runtime.executor.BatchExecutor.
-# ---------------------------------------------------------------------------
-
-
-def _stack_coords(coords: np.ndarray, index_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a list of index arrays into a ``(B, n_max, 3)`` stack.
-
-    Returns ``(stacked, sizes)``; padding rows are zero and are masked out
-    by the batched reference ops (``num_valid`` / zeroed min-distance), so
-    their value never matters.
-    """
-    sizes = np.array([len(ix) for ix in index_sets], dtype=np.int64)
-    stacked = np.zeros((len(index_sets), int(sizes.max()), 3))
-    for g, ix in enumerate(index_sets):
-        stacked[g, : len(ix)] = coords[ix]
-    return stacked, sizes
-
-
-def _stack_buckets(
-    block_ids: list[int],
-    center_counts: list[int] | np.ndarray,
-    search_counts: list[int] | np.ndarray,
-    budget: int = _STACK_BUDGET,
-) -> list[list[int]]:
-    """Chunk blocks into stacks whose padded size fits the element budget.
-
-    Blocks are ordered by (search size, centre count) so stack-mates have
-    similar shapes and padding waste stays low; bucket composition only
-    affects speed, never results (every row is computed independently).
-    """
-    order = sorted(block_ids, key=lambda b: (search_counts[b], center_counts[b]))
-    buckets: list[list[int]] = []
-    current: list[int] = []
-    m_max = n_max = 0
-    for b in order:
-        m_new = max(m_max, int(center_counts[b]) or 1)
-        n_new = max(n_max, int(search_counts[b]) or 1)
-        if current and (len(current) + 1) * m_new * n_new > budget:
-            buckets.append(current)
-            current, m_max, n_max = [], 0, 0
-            m_new = max(1, int(center_counts[b]))
-            n_new = max(1, int(search_counts[b]))
-        current.append(b)
-        m_max, n_max = m_new, n_new
-    if current:
-        buckets.append(current)
-    return buckets
-
-
-def block_fps_batched(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    num_samples: int,
-) -> tuple[np.ndarray, OpTrace]:
-    """Batched :func:`block_fps`: same indices, same trace, fewer passes.
-
-    Blocks that received the same quota are stacked into one
-    ``(B, n_max, 3)`` array and sampled by a single vectorized greedy
-    recurrence (:func:`repro.geometry.ops.batched_farthest_point_sample`),
-    so the Python-level iteration count drops from
-    ``sum(quota_b)`` to ``max(quota) × num_quota_groups``.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    quotas = allocate_samples(structure.block_sizes, num_samples, clamp=True)
-    trace = OpTrace(kind="fps")
-    groups: dict[int, list[int]] = {}
-    for block_id, (block, quota) in enumerate(zip(structure.blocks, quotas)):
-        trace.blocks.append(
-            BlockWork(
-                block_id=block_id,
-                n_points=len(block),
-                n_search=len(block),
-                n_centers=int(quota),
-                n_outputs=int(quota),
-            )
-        )
-        if quota > 0:
-            groups.setdefault(int(quota), []).append(block_id)
-
-    per_block: list[np.ndarray | None] = [None] * structure.num_blocks
-    for quota, ids in groups.items():
-        if len(ids) == 1:
-            block = structure.blocks[ids[0]]
-            local = exact_ops.farthest_point_sample(coords[block.indices], quota)
-            per_block[ids[0]] = block.indices[local]
-            continue
-        stacked, sizes = _stack_coords(
-            coords, [structure.blocks[b].indices for b in ids]
-        )
-        local = exact_ops.batched_farthest_point_sample(
-            stacked, quota, num_valid=sizes
-        )
-        for g, b in enumerate(ids):
-            per_block[b] = structure.blocks[b].indices[local[g]]
-    chunks = [c for c in per_block if c is not None]
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return indices, trace
-
-
-def block_ball_query_batched(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    radius: float,
-    num: int,
-) -> tuple[np.ndarray, OpTrace]:
-    """Batched :func:`block_ball_query`: identical neighbours and trace.
-
-    Small blocks (where per-block numpy dispatch overhead dominates the
-    actual distance math) are padded into one stacked problem per memory
-    bucket and selected in a single pass; blocks above
-    :data:`_STACK_SMALL` run the per-block reference directly — for them
-    stacking only adds padding and copy traffic.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    center_indices = np.asarray(center_indices, dtype=np.int64)
-    neighbors = np.empty((len(center_indices), num), dtype=np.int64)
-    trace = OpTrace(kind="ball_query")
-
-    rows_per_block = _group_centers_by_block(structure, center_indices)
-    small: list[int] = []
-    for block_id, rows in enumerate(rows_per_block):
-        block = structure.blocks[block_id]
-        space = structure.search_spaces[block_id]
-        trace.blocks.append(
-            BlockWork(
-                block_id=block_id,
-                n_points=len(block),
-                n_search=len(space),
-                n_centers=len(rows),
-                n_outputs=len(rows) * num,
-            )
-        )
-        if not len(rows):
-            continue
-        if len(rows) * len(space) <= _STACK_SMALL:
-            small.append(block_id)
-        else:
-            local = exact_ops.ball_query(
-                coords[center_indices[rows]], coords[space], radius, num
-            )
-            neighbors[rows] = space[local]
-
-    center_counts = [len(r) for r in rows_per_block]
-    search_counts = structure.search_sizes
-    for bucket in _stack_buckets(small, center_counts, search_counts):
-        stacked_centers, m_sizes = _stack_coords(
-            coords, [center_indices[rows_per_block[b]] for b in bucket]
-        )
-        stacked_spaces, n_sizes = _stack_coords(
-            coords, [structure.search_spaces[b] for b in bucket]
-        )
-        local = exact_ops.batched_ball_query(
-            stacked_centers, stacked_spaces, radius, num,
-            num_centers=m_sizes, num_valid=n_sizes,
-        )
-        for g, b in enumerate(bucket):
-            rows = rows_per_block[b]
-            neighbors[rows] = structure.search_spaces[b][local[g, : len(rows)]]
-    return neighbors, trace
-
-
-def block_knn_batched(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    candidate_indices: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, OpTrace]:
-    """Batched :func:`block_knn`: identical neighbours, widening, and trace.
-
-    Per-block candidate subsets (with the same widening rule as the serial
-    path) are padded into stacked problems; padded candidates carry
-    ``inf`` and rank after every real one under the shared (distance,
-    index) top-k rule (``repro.geometry.ops._knn_from_dists`` — the
-    stacked path holds no sort of its own), so results match the
-    per-block reference bit-for-bit.  Like the batched ball
-    query, blocks above :data:`_STACK_SMALL` take the per-block path
-    directly.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    center_indices = np.asarray(center_indices, dtype=np.int64)
-    candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
-    if len(candidate_indices) < k:
-        raise ValueError(f"need at least k={k} candidates, got {len(candidate_indices)}")
-
-    in_candidates = np.zeros(structure.num_points, dtype=bool)
-    in_candidates[candidate_indices] = True
-
-    neighbors = np.empty((len(center_indices), k), dtype=np.int64)
-    trace = OpTrace(kind="knn")
-    rows_per_block = _group_centers_by_block(structure, center_indices)
-    local_candidates: list[np.ndarray] = []
-    small: list[int] = []
-    for block_id, rows in enumerate(rows_per_block):
-        block = structure.blocks[block_id]
-        space = structure.search_spaces[block_id]
-        cands = space[in_candidates[space]]
-        widened = len(cands) < k
-        if widened:
-            cands = candidate_indices
-        local_candidates.append(cands)
-        trace.blocks.append(
-            BlockWork(
-                block_id=block_id,
-                n_points=len(block),
-                n_search=len(cands),
-                n_centers=len(rows),
-                n_outputs=len(rows) * k,
-                widened=widened,
-            )
-        )
-        if not len(rows):
-            continue
-        if len(rows) * len(cands) <= _STACK_SMALL:
-            small.append(block_id)
-        else:
-            local = exact_ops.knn_search(
-                coords[center_indices[rows]], coords[cands], k
-            )
-            neighbors[rows] = cands[local]
-
-    center_counts = [len(r) for r in rows_per_block]
-    cand_counts = [len(c) for c in local_candidates]
-    for bucket in _stack_buckets(small, center_counts, cand_counts):
-        stacked_centers, m_sizes = _stack_coords(
-            coords, [center_indices[rows_per_block[b]] for b in bucket]
-        )
-        stacked_cands, n_sizes = _stack_coords(
-            coords, [local_candidates[b] for b in bucket]
-        )
-        local = exact_ops.batched_knn_search(
-            stacked_centers, stacked_cands, k,
-            num_centers=m_sizes, num_valid=n_sizes,
-        )
-        for g, b in enumerate(bucket):
-            rows = rows_per_block[b]
-            neighbors[rows] = local_candidates[b][local[g, : len(rows)]]
-    return neighbors, trace
-
-
-def block_interpolate_batched(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    candidate_indices: np.ndarray,
-    candidate_features: np.ndarray,
-    k: int = 3,
-) -> tuple[np.ndarray, OpTrace]:
-    """Batched :func:`block_interpolate`: bit-identical features.
-
-    The KNN goes through :func:`block_knn_batched`; the inverse-distance
-    blend is the exact code path the serial operation uses, so equal
-    neighbours guarantee equal weights and features.
-    """
-    candidate_features = np.asarray(candidate_features, dtype=np.float64)
-    if len(candidate_features) != len(candidate_indices):
-        raise ValueError("candidate_features rows must align with candidate_indices")
-
-    neighbors, trace = block_knn_batched(
-        structure, coords, center_indices, candidate_indices, k
-    )
-    trace.kind = "interpolate"
-    features = _interpolate_from_neighbors(
-        structure.num_points, coords, center_indices, candidate_indices,
-        candidate_features, neighbors,
-    )
-    return features, trace
-
-
-#: Gathering is already one vectorized fancy-indexing pass, so the batched
-#: name is the same function; it keeps the batched API complete for
-#: schedulers that select ops by name.
-block_gather_batched = block_gather

@@ -1,11 +1,10 @@
 """Kernel registry and cost-model dispatch for block-parallel point ops.
 
-Every block-parallel operation now has three interchangeable
-implementations — the per-block **loop** (:mod:`repro.core.bppo`
-``block_*``), the padded **stacked** fast path (``block_*_batched``), and
-the fused **ragged** CSR kernels (:mod:`repro.core.ragged`) — all
-bit-identical under the parity suite, differing only in speed.  This
-module is the single place that knows which one to run:
+Every block-parallel operation has two interchangeable implementations —
+the per-block **loop** (:mod:`repro.core.bppo` ``block_*``) and the fused
+**ragged** CSR kernels (:mod:`repro.core.ragged`) — bit-identical under
+the parity suite, differing only in speed.  This module is the single
+place that knows which one to run:
 
 - :data:`KERNELS` maps ``op name → kernel name → callable`` with the
   uniform ``(structure, coords, ...) -> (result, trace)`` signature;
@@ -20,18 +19,17 @@ Dispatch table (``kernel="auto"``)
 The unit of cost of the neighbour searches (``ball_query``, ``knn``,
 ``interpolate``) is a block's *work product* — centres × search-space
 size, the number of distance evaluations the block needs.  Auto dispatch
-assigns each block's product to one of three regimes and picks the kernel
-owning the largest share of total work:
+assigns each block's product to one of two regimes and picks the kernel
+owning the larger share of total work:
 
 ======== ============================================ =====================
 kernel   regime (per-block work product)              why it wins there
 ======== ============================================ =====================
-stacked  ``<= _STACK_SMALL`` (128)                    dispatch overhead
-                                                      dominates; padding
-                                                      waste is tiny
-ragged   ``<= RAGGED_BLOCK_MAX`` (512)                too big to pad, too
-                                                      small to amortise a
-                                                      per-block Python trip
+ragged   ``<= RAGGED_BLOCK_MAX`` (512)                a per-block Python
+                                                      trip costs more than
+                                                      the block's distance
+                                                      math; one fused pass
+                                                      covers every block
 loop     ``> RAGGED_BLOCK_MAX``                       each block is
                                                       dominated by its own
                                                       GEMM; fusion buys
@@ -45,14 +43,12 @@ sample per block (``sum(quotas)``), the ragged kernel one trip per sample
 of the fullest block (``max(quotas)``) with every block riding along.  A
 ragged step (three coordinate columns plus a segment argmax) costs about
 two loop steps, so FPS goes ``ragged`` once the other blocks together
-run more steps than the largest block alone, else ``loop``; the stack
-wins nowhere (``benchmarks/results/ragged_kernels.txt``).
+run more steps than the largest block alone, else ``loop``.
 
 Two shortcuts skip the arithmetic: a single-block partition leaves
-nothing to stack or fuse (``loop``), and an op registered with one
-implementation under every name (``gather``) is resolved without
-consulting the cost model at all — the arithmetic costs more than the
-gather.
+nothing to fuse (``loop``), and an op registered with one implementation
+under every name (``gather``) is resolved without consulting the cost
+model at all — the arithmetic costs more than the gather.
 
 Centre counts are exact when the caller already groups its centres by
 block — pipeline stages know how many centres each block received from
@@ -68,9 +64,8 @@ Overrides
 Precedence is **explicit argument > environment > auto**: a concrete
 ``kernel=`` argument (or ``--kernel`` CLI flag) always wins; the
 environment variable :data:`KERNEL_ENV` (``REPRO_KERNEL``) only fills in
-when the caller left the choice at ``"auto"`` — the benchmarking hook
-used by ``benchmarks/bench_ragged_kernels.py``; the cost model decides
-whatever remains unresolved.
+when the caller left the choice at ``"auto"`` — a benchmarking and
+debugging hook; the cost model decides whatever remains unresolved.
 """
 
 from __future__ import annotations
@@ -83,13 +78,11 @@ import numpy as np
 from . import bppo, ragged
 from .. import obs
 from .blocks import BlockStructure
-from .bppo import _STACK_SMALL
 from .ragged import RAGGED_BLOCK_MAX
 
 __all__ = [
     "AGG_ENV",
     "AGG_NAMES",
-    "BUILD_KERNEL_ENV",
     "BUILD_KERNEL_NAMES",
     "GATHER_ELEM_SECONDS",
     "KERNELS",
@@ -97,52 +90,39 @@ __all__ = [
     "KERNEL_ENV",
     "MATMUL_MAC_SECONDS",
     "choose_agg",
-    "choose_build_kernel",
     "choose_kernel",
     "mlp_row_macs",
     "resolve_agg",
-    "resolve_build_kernel",
     "resolve_kernel",
     "run_build",
     "run_op",
     "validate_agg",
-    "validate_build_kernel",
     "validate_kernel",
 ]
 
-#: Environment variable forcing a kernel (``loop | stacked | ragged`` to
-#: pin one, ``auto`` / unset for the cost model).
+#: Environment variable forcing a kernel (``loop | ragged`` to pin one,
+#: ``auto`` / unset for the cost model).
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Accepted kernel selectors, ``auto`` first (the default everywhere).
-KERNEL_NAMES = ("auto", "loop", "stacked", "ragged")
+KERNEL_NAMES = ("auto", "loop", "ragged")
 
 #: op name → kernel name → implementation.  All entries of one op take the
 #: same arguments and return bit-identical ``(result, trace)``.
 KERNELS: dict[str, dict[str, Callable]] = {
-    "fps": {
-        "loop": bppo.block_fps,
-        "stacked": bppo.block_fps_batched,
-        "ragged": ragged.ragged_fps,
-    },
+    "fps": {"loop": bppo.block_fps, "ragged": ragged.ragged_fps},
     "ball_query": {
         "loop": bppo.block_ball_query,
-        "stacked": bppo.block_ball_query_batched,
         "ragged": ragged.ragged_ball_query,
     },
-    "knn": {
-        "loop": bppo.block_knn,
-        "stacked": bppo.block_knn_batched,
-        "ragged": ragged.ragged_knn,
-    },
+    "knn": {"loop": bppo.block_knn, "ragged": ragged.ragged_knn},
     "interpolate": {
         "loop": bppo.block_interpolate,
-        "stacked": bppo.block_interpolate_batched,
         "ragged": ragged.ragged_interpolate,
     },
     # Gathering is one fancy-indexing pass whichever way the blocks are
     # laid out: the same function under every name.
-    "gather": dict.fromkeys(("loop", "stacked", "ragged"), bppo.block_gather),
+    "gather": dict.fromkeys(("loop", "ragged"), bppo.block_gather),
 }
 
 
@@ -161,7 +141,7 @@ def choose_kernel(
     num_centers: int | None = None,
     center_counts: np.ndarray | None = None,
 ) -> str:
-    """Pick ``loop | stacked | ragged`` for one op call from block stats.
+    """Pick ``loop | ragged`` for one op call from block stats.
 
     Args:
         op: operation name (a :data:`KERNELS` key).
@@ -176,13 +156,13 @@ def choose_kernel(
             dispatch on their real work distribution.
 
     Returns:
-        The kernel name owning the largest share of estimated work
+        The kernel name owning the larger share of estimated work
         (recurrence steps for ``fps``, see the module docstring).
     """
     sizes = structure.block_sizes.astype(np.float64)
     total = sizes.sum()
     if total == 0:
-        return "stacked"
+        return "loop"
     if center_counts is not None:
         centers_est = np.asarray(center_counts, dtype=np.float64)
         if centers_est.shape != (structure.num_blocks,):
@@ -194,20 +174,13 @@ def choose_kernel(
         m = total if num_centers is None else float(num_centers)
         centers_est = m * sizes / total
     if structure.num_blocks == 1:
-        return "loop"  # nothing to stack or fuse
+        return "loop"  # nothing to fuse
     if op == "fps":
         fullest = centers_est.max()
         return "ragged" if centers_est.sum() - fullest > fullest else "loop"
     products = centers_est * structure.search_sizes
-    work_small = products[products <= _STACK_SMALL].sum()
-    mid = (products > _STACK_SMALL) & (products <= RAGGED_BLOCK_MAX)
-    work_mid = products[mid].sum()
-    work_big = products[products > RAGGED_BLOCK_MAX].sum()
-    best = max(
-        ("stacked", work_small), ("ragged", work_mid), ("loop", work_big),
-        key=lambda kv: kv[1],
-    )
-    return best[0]
+    fused = products <= RAGGED_BLOCK_MAX
+    return "ragged" if products[fused].sum() >= products[~fused].sum() else "loop"
 
 
 def resolve_kernel(
@@ -239,89 +212,8 @@ def resolve_kernel(
     return kernel
 
 
-# --------------------------------------------------------------------------
-# cold-path build kernels (partition construction on a cache miss)
-# --------------------------------------------------------------------------
-
-#: Environment variable forcing a build kernel on cache misses
-#: (``build_then_sample | fused`` to pin one, ``auto`` / unset for the
-#: cost model).
-BUILD_KERNEL_ENV = "REPRO_BUILD"
-
-#: Accepted build-kernel selectors, ``auto`` first.
-BUILD_KERNEL_NAMES = ("auto", "build_then_sample", "fused")
-
-
-def validate_build_kernel(kernel: str) -> str:
-    if kernel not in BUILD_KERNEL_NAMES:
-        raise ValueError(
-            f"build kernel must be one of {BUILD_KERNEL_NAMES}, got {kernel!r}"
-        )
-    return kernel
-
-
-def _block_bound(partitioner) -> int:
-    """The partitioner's points-per-block target (``th`` / BS)."""
-    for attr in ("max_leaf_size", "target_block_size", "block_size"):
-        bound = getattr(partitioner, attr, None)
-        if bound:
-            return int(bound)
-    config = getattr(partitioner, "config", None)
-    if config is not None and getattr(config, "threshold", 0):
-        return int(config.threshold)
-    return 256
-
-
-def choose_build_kernel(partitioner, num_points: int, num_samples: int) -> str:
-    """Cost-model choice between the fused and the two-pass cold build.
-
-    The fused build samples each leaf with the per-block loop recurrence
-    the moment it is finalized; the two-pass build dispatches its FPS
-    through :func:`run_op`.  Sharing the traversal saves a Python
-    process nothing measurable, so the two cost the same exactly where
-    auto FPS would run the loop anyway — up to two expected blocks, see
-    the FPS rule in the module docstring — and there the fused build
-    also spares the engine one dispatch.  Beyond that the ragged FPS the
-    two-pass build reaches is 2–3x faster than any per-leaf loop (43 vs
-    15 ms on an 11.7K-point scene): fusion inverts at scale.  Below one
-    sample per expected block the fused path's
-    at-least-one-per-leaf eagerness does work the largest-remainder
-    allocation will discard.  Partitioners without the leaf hook always
-    build-then-sample.
-    """
-    from .coldpath import supports_fused_build
-
-    if not supports_fused_build(partitioner):
-        return "build_then_sample"
-    expected_blocks = -(-max(1, num_points) // _block_bound(partitioner))
-    fuse = expected_blocks <= 2 and num_samples >= expected_blocks
-    return "fused" if fuse else "build_then_sample"
-
-
-def resolve_build_kernel(
-    partitioner, num_points: int, num_samples: int, kernel: str = "auto"
-) -> str:
-    """Resolve a build-kernel selector to a concrete name.
-
-    Same precedence as :func:`resolve_kernel` (explicit > environment >
-    cost model), with one safety clamp: ``"fused"`` on a partitioner
-    without the leaf hook degrades to ``"build_then_sample"`` — the
-    partitioner choice is orthogonal to the build-kernel knob, and a
-    hard error here would make ``REPRO_BUILD=fused`` unusable in mixed
-    sweeps.
-    """
-    from .coldpath import supports_fused_build
-
-    kernel = validate_build_kernel(kernel)
-    if kernel == "auto":
-        override = os.environ.get(BUILD_KERNEL_ENV)
-        if override:
-            kernel = validate_build_kernel(override)
-    if kernel == "auto":
-        kernel = choose_build_kernel(partitioner, num_points, num_samples)
-    if kernel == "fused" and not supports_fused_build(partitioner):
-        kernel = "build_then_sample"
-    return kernel
+#: One cold build; kept because the benchmark's probe races run_build over it.
+BUILD_KERNEL_NAMES = ("auto",)
 
 
 def run_build(
@@ -330,33 +222,18 @@ def run_build(
     num_samples: int,
     kernel: str = "auto",
 ):
-    """Build a partition and its FPS sample set in one dispatched call.
+    """Build a partition and its FPS sample set: the cold path in one call.
 
-    Returns ``(structure, sampled, fps_trace, name)`` where ``name`` is
-    the build kernel that ran.  Both kernels are bit-identical; the fused
-    one interleaves per-leaf FPS with tree construction
-    (:func:`repro.core.coldpath.fused_build_and_sample`), the two-pass
-    one runs ``partitioner(coords)`` followed by the FPS kernel
-    :func:`run_op` resolves (``REPRO_KERNEL`` or the cost model).
+    Runs ``partitioner(coords)`` followed by the FPS ``kernel`` that
+    :func:`run_op` resolves (``REPRO_KERNEL`` or the cost model for
+    ``"auto"``).  Returns ``(structure, sampled, fps_trace)``.
     """
-    from .coldpath import fused_build_and_sample
-
-    name = resolve_build_kernel(partitioner, len(coords), num_samples, kernel)
-    with (
-        obs.span("build." + name, points=len(coords), samples=num_samples)
-        if obs.enabled()
-        else obs.NULL_SPAN
-    ):
-        if name == "fused":
-            structure, sampled, trace = fused_build_and_sample(
-                partitioner, coords, num_samples
-            )
-        else:
-            structure = partitioner(coords)
-            sampled, trace = run_op(
-                "fps", structure, coords, num_samples, num_centers=num_samples
-            )
-    return structure, sampled, trace, name
+    structure = partitioner(coords)
+    sampled, trace = run_op(
+        "fps", structure, coords, num_samples,
+        kernel=kernel, num_centers=num_samples,
+    )
+    return structure, sampled, trace
 
 
 # --------------------------------------------------------------------------

@@ -51,22 +51,13 @@ def _choose_dim(coords_block: np.ndarray, depth: int, config: FractalConfig) -> 
     return None
 
 
-def fractal_partition(
-    coords: np.ndarray,
-    config: FractalConfig | None = None,
-    on_leaf=None,
-) -> FractalTree:
+def fractal_partition(coords: np.ndarray, config: FractalConfig | None = None) -> FractalTree:
     """Partition ``coords`` into a fractal binary tree (paper Alg. 1).
 
     Args:
         coords: ``(n, 3)`` point coordinates, n >= 1.
         config: Fractal parameters; defaults to the paper's large-scale
             configuration (``th`` = 256, dimension cycling).
-        on_leaf: optional hook called the moment a node is finalized as
-            a leaf, with the node's index array in the order the block
-            will carry — the fused build-and-sample kernel
-            (:mod:`repro.core.coldpath`) starts FPS there while the rest
-            of the tree is still splitting.
 
     Returns:
         A :class:`FractalTree` whose leaves (in DFT order) are the blocks.
@@ -87,8 +78,6 @@ def fractal_partition(
     # Level-synchronous expansion: `frontier` holds the oversized nodes of
     # the current level, matching one hardware iteration of Fig. 9(c).
     frontier = [root] if n > config.threshold else []
-    if not frontier and on_leaf is not None:
-        on_leaf(root.indices)
     num_levels = 0
     while frontier:
         num_levels += 1
@@ -105,8 +94,6 @@ def fractal_partition(
             if dim is None:
                 # All remaining extents are zero: coincident points.
                 node.forced_leaf = True
-                if on_leaf is not None:
-                    on_leaf(node.indices)
                 continue
             mid = (float(block[:, dim].max()) + float(block[:, dim].min())) / 2.0
             go_left = block[:, dim] <= mid
@@ -118,8 +105,6 @@ def fractal_partition(
                 # Float pathologies only (e.g. extent below precision at
                 # this magnitude); treat as degenerate.
                 node.forced_leaf = True
-                if on_leaf is not None:
-                    on_leaf(node.indices)
                 continue
 
             node.split_dim = dim
@@ -131,8 +116,6 @@ def fractal_partition(
             for child in (left, right):
                 if child.num_points > config.threshold:
                     next_frontier.append(child)
-                elif on_leaf is not None:
-                    on_leaf(child.indices)
         frontier = next_frontier
 
     cost.levels = num_levels

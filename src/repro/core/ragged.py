@@ -1,10 +1,9 @@
 """Ragged CSR block layout and fused segment-wise point-op kernels.
 
-The per-block loop (``block_*``) and the padded stack (``block_*_batched``)
-are two extremes of the same trade-off: the loop pays Python/numpy dispatch
-overhead once per block, the stack pays padding waste once per stack.  This
-module adds the third representation the mid-size regime wants — a **CSR
-(compressed sparse row) layout** of the whole partition:
+The per-block loop (``block_*``) pays Python/numpy dispatch overhead once
+per block, which dominates once blocks are small.  This module holds the
+representation that regime wants — a **CSR (compressed sparse row)
+layout** of the whole partition:
 
 - ``coords``: the cloud's coordinates permuted so every block's points are
   contiguous (block-major, matching DFT block order);
@@ -19,8 +18,7 @@ Kernels over this layout (:func:`ragged_fps`, :func:`ragged_ball_query`,
 :func:`ragged_knn`, :func:`ragged_interpolate`) visit **all blocks at
 once** with segment reductions (``np.ufunc.reduceat`` argmax/argmin tricks,
 flat cumulative-sum hit ranking, one dense scatter handed to the shared
-top-k rule ``repro.geometry.ops._knn_from_dists``) instead of either
-padding or looping.  FPS streams the layout's coordinate *columns*
+top-k rule ``repro.geometry.ops._knn_from_dists``) instead of looping.  FPS streams the layout's coordinate *columns*
 (``RaggedBlocks.columns``, SoA) through preallocated buffers.  There is
 no padding waste and — outside the two documented per-block escapes
 below — no per-block Python work beyond trace construction.
@@ -98,14 +96,12 @@ __all__ = [
 #: Per-block work-product ceiling (centres × search size) for the fused
 #: flat path; blocks above it run the serial per-block reference inside
 #: the ragged kernels — they are dominated by their own GEMM, and the
-#: flat pair arrays would only cost memory.  Set to 4x ``_STACK_SMALL``
-#: (the mid-size window) and deliberately equal to
-#: ``repro.geometry.ops._DIRECT_FORM_MAX``, so every fused block's
-#: distances come out of the one flat elementwise pass (the per-block
-#: ``pairwise_sq_dists`` escape in ``_pair_sq_dists`` stays as the
-#: correctness net if the constants ever drift apart).  Like
-#: ``_STACK_SMALL`` this tunes speed, never semantics: either route is
-#: bit-identical.
+#: flat pair arrays would only cost memory.  Set to 512, deliberately
+#: equal to ``repro.geometry.ops._DIRECT_FORM_MAX``, so every fused
+#: block's distances come out of the one flat elementwise pass (the
+#: per-block ``pairwise_sq_dists`` escape in ``_pair_sq_dists`` stays as
+#: the correctness net if the constants ever drift apart).  It tunes
+#: speed, never semantics: either route is bit-identical.
 RAGGED_BLOCK_MAX = 512
 
 
@@ -361,8 +357,8 @@ def _group_centers(
 def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
     """Farthest-point-sample every block of a ragged layout at once.
 
-    One greedy recurrence over the flat point array replaces both the
-    per-block Python loop and the padded stack: each iteration finds every
+    One greedy recurrence over the flat point array replaces the
+    per-block Python loop: each iteration finds every
     still-active block's first-position argmax with two segment
     reductions, then updates the flat min-distance array against each
     block's own new selection (slot ``i`` only ever measures against

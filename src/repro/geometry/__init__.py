@@ -15,10 +15,6 @@ from .metrics import (
 )
 from .ops import (
     ball_query,
-    batched_ball_query,
-    batched_farthest_point_sample,
-    batched_knn_search,
-    batched_pairwise_sq_dists,
     farthest_point_sample,
     gather_features,
     idw_weights,
@@ -35,10 +31,6 @@ __all__ = [
     "PointCloud",
     "aabb_of_points",
     "ball_query",
-    "batched_ball_query",
-    "batched_farthest_point_sample",
-    "batched_knn_search",
-    "batched_pairwise_sq_dists",
     "block_balance_factor",
     "chamfer_distance",
     "coverage_radius",

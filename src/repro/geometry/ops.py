@@ -24,13 +24,9 @@ import numpy as np
 
 __all__ = [
     "pairwise_sq_dists",
-    "batched_pairwise_sq_dists",
     "farthest_point_sample",
-    "batched_farthest_point_sample",
     "ball_query",
-    "batched_ball_query",
     "knn_search",
-    "batched_knn_search",
     "idw_weights",
     "interpolate_features",
     "interpolation_weights",
@@ -40,14 +36,14 @@ __all__ = [
 
 #: Below this many distance entries the direct ``(a-b)**2`` form is used:
 #: it skips the GEMM and, being purely elementwise, produces bit-identical
-#: values no matter how the problem is sliced or stacked — the property
-#: both the stacked and the ragged block fast paths build on.  Above it,
-#: the expanded GEMM form is faster and memory-lean.  The raw speed
-#: crossover sits near ~150 entries, but the boundary is deliberately at
-#: 4x ``_STACK_SMALL`` so the entire mid-size block regime (the ragged
-#: kernels' territory, see :mod:`repro.core.ragged`) stays on the
-#: slice-invariant form: a ~4 µs/call concession on 150–512-entry serial
-#: problems buys fusing whole partitions into one elementwise pass.
+#: values no matter how the problem is sliced or concatenated — the
+#: property the ragged block kernels build on.  Above it, the expanded
+#: GEMM form is faster and memory-lean.  The raw speed crossover sits near
+#: ~150 entries, but the boundary is deliberately at 512 so the entire
+#: mid-size block regime (the ragged kernels' territory, see
+#: :mod:`repro.core.ragged`) stays on the slice-invariant form: a ~4 µs/call
+#: concession on 150–512-entry serial problems buys fusing whole
+#: partitions into one elementwise pass.
 _DIRECT_FORM_MAX = 512
 
 
@@ -119,62 +115,6 @@ def farthest_point_sample(
     return selected
 
 
-def batched_farthest_point_sample(
-    coords: np.ndarray,
-    num_samples: int,
-    *,
-    num_valid: np.ndarray | None = None,
-    start_index: int = 0,
-) -> np.ndarray:
-    """FPS over a stack of clouds ``(B, n, 3)``, one greedy recurrence for all.
-
-    Runs the same selection rule as :func:`farthest_point_sample` on every
-    cloud of the stack simultaneously; row ``b`` of the result is
-    bit-identical to ``farthest_point_sample(coords[b, :num_valid[b]],
-    num_samples)``.  Clouds shorter than ``n`` are padded (any values);
-    their padding rows get a permanent min-distance of zero, so — like a
-    duplicate of an already-selected point — they can never win the argmax
-    while a real point is strictly farther, and index ties resolve to the
-    first (always real) position exactly as in the unpadded recurrence.
-
-    Args:
-        coords: ``(B, n, 3)`` stacked clouds (padded to a common length).
-        num_samples: samples per cloud, ``1 <= num_samples <= min(num_valid)``.
-        num_valid: ``(B,)`` count of real (non-padding) points per cloud;
-            ``None`` means all ``n`` rows are real everywhere.
-        start_index: deterministic seed point shared by all clouds.
-
-    Returns:
-        ``(B, num_samples)`` int64 indices into each cloud, in selection order.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 3 or coords.shape[-1] != 3:
-        raise ValueError(f"coords must be (B, n, 3), got {coords.shape}")
-    num_batches, n, _ = coords.shape
-    min_valid = n if num_valid is None else int(np.min(num_valid))
-    if not 1 <= num_samples <= min_valid:
-        raise ValueError(
-            f"num_samples must be in [1, {min_valid}] (the smallest stacked "
-            f"cloud), got {num_samples}"
-        )
-    if not 0 <= start_index < min_valid:
-        raise ValueError(f"start_index must be in [0, {min_valid}), got {start_index}")
-
-    rows = np.arange(num_batches)
-    selected = np.empty((num_batches, num_samples), dtype=np.int64)
-    selected[:, 0] = start_index
-    min_d2 = np.sum((coords - coords[:, start_index][:, None, :]) ** 2, axis=2)
-    if num_valid is not None:
-        pad = np.arange(n)[None, :] >= np.asarray(num_valid, dtype=np.int64)[:, None]
-        min_d2[pad] = 0.0
-    for i in range(1, num_samples):
-        nxt = np.argmax(min_d2, axis=1)
-        selected[:, i] = nxt
-        d2 = np.sum((coords - coords[rows, nxt][:, None, :]) ** 2, axis=2)
-        np.minimum(min_d2, d2, out=min_d2)
-    return selected
-
-
 def ball_query(
     centers: np.ndarray,
     candidates: np.ndarray,
@@ -209,105 +149,24 @@ def ball_query(
 def _select_ball_neighbors(d2: np.ndarray, r2: float, num: int) -> np.ndarray:
     """PointNet++ neighbour selection from a squared-distance matrix.
 
-    Rows (centres) are independent; the trailing axis indexes candidates.
-    Accepts ``(m, n)`` or stacked ``(B, m, n)`` input — the single shared
-    decision procedure is what makes the batched block fast path
-    bit-identical to the reference: in-radius candidates are taken in
-    candidate order, the first hit pads short rows, and a hitless centre
-    falls back to its nearest candidate (``inf`` entries mark padding
-    columns and can never be hits nor nearest).
+    ``d2`` is ``(m, n)``: rows (centres) are independent, columns index
+    candidates.  In-radius candidates are taken in candidate order, the
+    first hit pads short rows, and a hitless centre falls back to its
+    nearest candidate.
     """
-    n = d2.shape[-1]
+    n = d2.shape[1]
     hit_idx = np.where(d2 <= r2, np.arange(n, dtype=np.int64), n)
-    hit_idx = np.sort(hit_idx, axis=-1)[..., :num]
-    if hit_idx.shape[-1] < num:
-        pad_shape = hit_idx.shape[:-1] + (num - hit_idx.shape[-1],)
+    hit_idx = np.sort(hit_idx, axis=1)[:, :num]
+    if hit_idx.shape[1] < num:
         hit_idx = np.concatenate(
-            [hit_idx, np.full(pad_shape, n, dtype=np.int64)], axis=-1
+            [hit_idx, np.full((len(hit_idx), num - hit_idx.shape[1]), n,
+                              dtype=np.int64)], axis=1
         )
-    first = hit_idx[..., 0]
+    first = hit_idx[:, 0]
     no_hit = first == n
     if np.any(no_hit):
-        first = np.where(no_hit, np.argmin(d2, axis=-1), first)
-    return np.where(hit_idx == n, first[..., None], hit_idx)
-
-
-def batched_pairwise_sq_dists(
-    centers: np.ndarray,
-    candidates: np.ndarray,
-    *,
-    num_centers: np.ndarray | None = None,
-    num_valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stacked squared distances ``(B, m, n)`` with ``inf``-marked padding.
-
-    Every slice is bitwise-equal to ``pairwise_sq_dists`` on its valid
-    sub-arrays.  When every slice is small enough for the direct
-    difference form (``m_b * n_b <=`` :data:`_DIRECT_FORM_MAX`) the whole
-    stack is computed in one elementwise broadcast — elementwise ops give
-    identical bits regardless of how the problem is sliced, which is the
-    parity guarantee.  Otherwise each slice falls back to a
-    ``pairwise_sq_dists`` call on exactly the reference shapes (a single
-    batched GEMM could reorder accumulation; parity beats elegance).
-
-    Args:
-        centers: ``(B, m, 3)`` stacked query centres (padded).
-        candidates: ``(B, n, 3)`` stacked search spaces (padded).
-        num_centers: ``(B,)`` real centre counts (``None`` = all real).
-        num_valid: ``(B,)`` real candidate counts (``None`` = all real).
-
-    Returns:
-        ``(B, m, n)`` float64; padding rows/columns hold ``inf``.
-    """
-    centers = np.asarray(centers, dtype=np.float64)
-    candidates = np.asarray(candidates, dtype=np.float64)
-    num_batches, m, _ = centers.shape
-    n = candidates.shape[1]
-    m_valid = np.full(num_batches, m) if num_centers is None else np.asarray(num_centers)
-    n_valid = np.full(num_batches, n) if num_valid is None else np.asarray(num_valid)
-    if np.all(m_valid * n_valid <= _DIRECT_FORM_MAX):
-        d2 = ((centers[:, :, None, :] - candidates[:, None, :, :]) ** 2).sum(axis=3)
-        if num_centers is not None:
-            d2[np.arange(m)[None, :] >= m_valid[:, None], :] = np.inf
-        if num_valid is not None:
-            pad_cols = np.arange(n)[None, :] >= n_valid[:, None]
-            d2[np.broadcast_to(pad_cols[:, None, :], d2.shape)] = np.inf
-        return d2
-    d2 = np.full((num_batches, m, n), np.inf)
-    for b in range(num_batches):
-        mv, nv = int(m_valid[b]), int(n_valid[b])
-        if mv and nv:
-            d2[b, :mv, :nv] = pairwise_sq_dists(centers[b, :mv], candidates[b, :nv])
-    return d2
-
-
-def batched_ball_query(
-    centers: np.ndarray,
-    candidates: np.ndarray,
-    radius: float,
-    num: int,
-    *,
-    num_centers: np.ndarray | None = None,
-    num_valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Ball query over stacked problems ``(B, m, 3) × (B, n, 3)``.
-
-    Slice ``b`` (restricted to its real rows) is bit-identical to
-    ``ball_query(centers[b, :num_centers[b]], candidates[b, :num_valid[b]],
-    radius, num)``; padding centre rows produce garbage the caller slices
-    off.
-
-    Returns:
-        ``(B, m, num)`` int64 indices into each slice's candidate axis.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if num < 1:
-        raise ValueError(f"num must be >= 1, got {num}")
-    d2 = batched_pairwise_sq_dists(
-        centers, candidates, num_centers=num_centers, num_valid=num_valid
-    )
-    return _select_ball_neighbors(d2, float(radius) ** 2, num)
+        first = np.where(no_hit, np.argmin(d2, axis=1), first)
+    return np.where(hit_idx == n, first[:, None], hit_idx)
 
 
 def knn_search(centers: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -318,9 +177,8 @@ def knn_search(centers: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarra
     :func:`_knn_from_dists`), so the full result — including which of
     several equidistant boundary candidates makes the cut — is
     deterministic and independent of how the candidate row is
-    partitioned.  That invariance is what lets the batched
-    block-parallel fast path pad candidate rows and still reproduce this
-    reference bit-for-bit.
+    partitioned.  That invariance is what lets the ragged block kernels
+    pad candidate rows and still reproduce this reference bit-for-bit.
 
     Args:
         centers: ``(m, 3)`` query centres.
@@ -343,8 +201,8 @@ def knn_search(centers: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarra
 def _knn_from_dists(d2: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` columns of each row of ``d2`` by (distance, index).
 
-    The one place the top-k rule lives: every KNN path (serial, stacked,
-    ragged, fused) hands its distance rows to this function.  The
+    The one place the top-k rule lives: every KNN path (serial, ragged,
+    fused) hands its distance rows to this function.  The
     (distance, index) lexicographic order defines the result uniquely,
     so each algorithm below returns identical bits.
 
@@ -419,41 +277,6 @@ def _knn_by_sort(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(closure, order, axis=1).astype(np.int64)
 
 
-def batched_knn_search(
-    centers: np.ndarray,
-    candidates: np.ndarray,
-    k: int,
-    *,
-    num_centers: np.ndarray | None = None,
-    num_valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """KNN over stacked problems ``(B, m, 3) × (B, n, 3)``.
-
-    Padding candidates carry ``inf`` distance, so the (distance, index)
-    order of :func:`knn_search` places them after every real candidate
-    and slice ``b`` is bit-identical to
-    ``knn_search(centers[b, :num_centers[b]], candidates[b, :num_valid[b]],
-    k)``.  Every slice must keep at least ``k`` real candidates.
-
-    Returns:
-        ``(B, m, k)`` int64 indices into each slice's candidate axis.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    min_valid = (
-        np.asarray(candidates).shape[1]
-        if num_valid is None
-        else int(np.min(num_valid))
-    )
-    if min_valid < k:
-        raise ValueError(f"need at least k={k} candidates, got {min_valid}")
-    d2 = batched_pairwise_sq_dists(
-        centers, candidates, num_centers=num_centers, num_valid=num_valid
-    )
-    flat = _knn_from_dists(d2.reshape(-1, d2.shape[2]), k)
-    return flat.reshape(d2.shape[0], d2.shape[1], k)
-
-
 def idw_weights(
     centers: np.ndarray,
     neighbors_xyz: np.ndarray,
@@ -463,8 +286,8 @@ def idw_weights(
     """Normalised inverse-squared-distance weights of known neighbours.
 
     The single shared weight computation of every interpolation path —
-    the exact backend, the serial and batched block ops, and the ragged
-    kernels all call this, so identical neighbour indices always yield
+    the exact backend, the serial block ops, and the ragged kernels all
+    call this, so identical neighbour indices always yield
     bit-identical weights.  Inputs are coerced to float64 (one dtype
     contract for every caller; mixed-precision inputs used to make the
     exact and block backends disagree in the last ulp).

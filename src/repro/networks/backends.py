@@ -10,8 +10,8 @@ swap.
 Both backends are thin views over shared machinery: :class:`ExactBackend`
 wraps the reference ops of :mod:`repro.geometry.ops`, and
 :class:`BlockBackend` resolves every call through the kernel registry of
-:mod:`repro.core.dispatch` — the per-block loop, the padded stack, and
-the fused ragged CSR kernels are interchangeable (bit-identical) there,
+:mod:`repro.core.dispatch` — the per-block loop and the fused ragged
+CSR kernels are interchangeable (bit-identical) there,
 so the backend only carries *which* partition to use and *how* to pick a
 kernel (``kernel="auto"`` cost-model dispatch by default).
 """
@@ -100,9 +100,9 @@ class BlockBackend(PointOpsBackend):
     :mod:`repro.core.dispatch`.  ``kernel`` picks the implementation:
     ``"auto"`` (default) lets the cost model choose per call — from
     *measured* per-block centre counts, since the backend always holds
-    the concrete centre ids — while ``"loop" | "stacked" | "ragged"``
-    pin one path.  The parity suite guarantees bit-identical results, so
-    the choice only affects speed.
+    the concrete centre ids — while ``"loop" | "ragged"`` pin one path.
+    The parity suite guarantees bit-identical results, so the choice
+    only affects speed.
 
     ``batched`` is the legacy flag of the pre-dispatch API: ``False``
     pins the serial per-block loop, ``True`` (old default) means

@@ -54,7 +54,7 @@ def stage_of(name: str) -> str:
         # Network-pipeline spans keep their own rows too: model.sa1 vs
         # model.fp1 is the split an inference trace is read for.
         return name
-    if name.startswith("build.") or name == "partition.build":
+    if name == "partition.build":
         return "build"
     if name == "partition.patch":
         return "patch"

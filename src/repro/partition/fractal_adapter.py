@@ -26,13 +26,12 @@ class FractalPartitioner(Partitioner):
     """
 
     name = "fractal"
-    supports_fused_build = True
 
     def __init__(self, threshold: int = 256, config: FractalConfig | None = None):
         self.config = config or FractalConfig(threshold=threshold)
 
-    def partition(self, coords: np.ndarray, on_leaf=None) -> BlockStructure:
-        tree = fractal_partition(coords, self.config, on_leaf=on_leaf)
+    def partition(self, coords: np.ndarray) -> BlockStructure:
+        tree = fractal_partition(coords, self.config)
         structure = tree.block_structure()
         attach_certificate(structure, FractalCertificate.from_tree(tree, self.config))
         return structure

@@ -53,7 +53,6 @@ class KDTreePartitioner(Partitioner):
     """
 
     name = "kdtree"
-    supports_fused_build = True
 
     def __init__(self, max_leaf_size: int = 256, parent_search: bool = True):
         if max_leaf_size < 1:
@@ -61,7 +60,7 @@ class KDTreePartitioner(Partitioner):
         self.max_leaf_size = max_leaf_size
         self.parent_search = parent_search
 
-    def partition(self, coords: np.ndarray, on_leaf=None) -> BlockStructure:
+    def partition(self, coords: np.ndarray) -> BlockStructure:
         n = len(coords)
         if n == 0:
             raise ValueError("cannot partition an empty point cloud")
@@ -71,8 +70,6 @@ class KDTreePartitioner(Partitioner):
         # Level-synchronous to count sequential levels the way the
         # hardware experiences them: every level waits for its sorts.
         frontier = [root] if n > self.max_leaf_size else []
-        if not frontier and on_leaf is not None:
-            on_leaf(np.sort(root.indices))
         levels = 0
         while frontier:
             levels += 1
@@ -92,10 +89,6 @@ class KDTreePartitioner(Partitioner):
                 for child in (left, right):
                     if len(child.indices) > self.max_leaf_size:
                         next_frontier.append(child)
-                    elif on_leaf is not None:
-                        # Finalized leaf: fused build-and-sample starts
-                        # FPS here, in final block (sorted) order.
-                        on_leaf(np.sort(child.indices))
             frontier = next_frontier
         cost.levels = levels
 

@@ -55,7 +55,6 @@ class OctreePartitioner(Partitioner):
     """
 
     name = "octree"
-    supports_fused_build = True
 
     def __init__(self, max_leaf_size: int = 256, max_depth: int = 24):
         if max_leaf_size < 1:
@@ -63,7 +62,7 @@ class OctreePartitioner(Partitioner):
         self.max_leaf_size = max_leaf_size
         self.max_depth = max_depth
 
-    def partition(self, coords: np.ndarray, on_leaf=None) -> BlockStructure:
+    def partition(self, coords: np.ndarray) -> BlockStructure:
         n = len(coords)
         if n == 0:
             raise ValueError("cannot partition an empty point cloud")
@@ -73,8 +72,6 @@ class OctreePartitioner(Partitioner):
         hi = coords.max(axis=0)
         root = OctreeNode(np.arange(n, dtype=np.int64), 0, lo, hi)
         frontier = [root] if n > self.max_leaf_size else []
-        if not frontier and on_leaf is not None:
-            on_leaf(np.sort(root.indices))
         levels = 0
         while frontier:
             levels += 1
@@ -82,13 +79,9 @@ class OctreePartitioner(Partitioner):
             next_frontier: list[OctreeNode] = []
             for node in frontier:
                 if node.depth >= self.max_depth:
-                    if on_leaf is not None:
-                        on_leaf(np.sort(node.indices))
                     continue
                 extent = node.hi - node.lo
                 if np.all(extent <= _DEGENERATE_EXTENT):
-                    if on_leaf is not None:
-                        on_leaf(np.sort(node.indices))
                     continue  # coincident points: give up on this cell
                 mid = (node.lo + node.hi) / 2.0
                 pts = coords[node.indices]
@@ -114,8 +107,6 @@ class OctreePartitioner(Partitioner):
                     node.children.append(child)
                     if len(child.indices) > self.max_leaf_size:
                         next_frontier.append(child)
-                    elif on_leaf is not None:
-                        on_leaf(np.sort(child.indices))
             frontier = next_frontier
         cost.levels = levels
 

@@ -34,7 +34,6 @@ class UniformPartitioner(Partitioner):
     """
 
     name = "uniform"
-    supports_fused_build = True
 
     def __init__(self, target_block_size: int = 256, resolution: int | None = None):
         if target_block_size < 1:
@@ -51,7 +50,7 @@ class UniformPartitioner(Partitioner):
         wanted_cells = max(1.0, n / self.target_block_size)
         return max(1, int(round(wanted_cells ** (1.0 / 3.0))))
 
-    def partition(self, coords: np.ndarray, on_leaf=None) -> BlockStructure:
+    def partition(self, coords: np.ndarray) -> BlockStructure:
         n = len(coords)
         if n == 0:
             raise ValueError("cannot partition an empty point cloud")
@@ -70,9 +69,6 @@ class UniformPartitioner(Partitioner):
         groups = np.split(order, boundaries)
 
         blocks = [Block(np.sort(g).astype(np.int64), depth=1) for g in groups]
-        if on_leaf is not None:
-            for block in blocks:
-                on_leaf(block.indices)
         spaces = [b.indices for b in blocks]
         cost = PartitionCost(passes=[n], levels=1)
         structure = BlockStructure(

@@ -278,24 +278,16 @@ class PartitionCache:
         policy attached a near-miss may still be served delta-patched —
         callers that care about the full outcome use :meth:`acquire`.
         """
-        structure, outcome, _ = self.acquire(coords)
+        structure, outcome = self.acquire(coords)
         return structure, outcome == "warm"
 
-    def acquire(
-        self,
-        coords: np.ndarray,
-        *,
-        builder: Callable[[np.ndarray], tuple["BlockStructure", object]] | None = None,
-    ) -> tuple["BlockStructure", str, object]:
-        """Serve ``coords``, reporting how: ``(structure, outcome, payload)``.
+    def acquire(self, coords: np.ndarray) -> tuple["BlockStructure", str]:
+        """Serve ``coords``, reporting how: ``(structure, outcome)``.
 
         ``outcome`` is ``"warm"`` (exact hit), ``"reused"``
         (certificate-verified reuse of a near-match — bit-identical to a
         rebuild), ``"patched"`` (incremental updater absorbed the frame
-        delta), or ``"cold"`` (full build).  ``payload`` is whatever the
-        ``builder`` returned alongside the structure (the fused
-        build-and-sample kernel hands back its sample set this way) and
-        is ``None`` on every non-cold outcome.
+        delta), or ``"cold"`` (full build).
 
         The partitioner runs outside the lock, so concurrent misses on
         the same new cloud may both partition it (identical results, one
@@ -309,7 +301,7 @@ class PartitionCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 obs.inc("repro_partitions_warm")
-                return entry.structure, "warm", None
+                return entry.structure, "warm"
             self.misses += 1
             candidates = (
                 list(reversed(self._entries.values()))[: self.policy.candidates]
@@ -336,16 +328,13 @@ class PartitionCache:
                             self.patches += 1
                         self._store(key, new_entry)
                     obs.inc(f"repro_partitions_{outcome}")
-                    return structure, outcome, None
+                    return structure, outcome
         with (
             obs.span("partition.build", points=len(coords))
             if obs.enabled()
             else obs.NULL_SPAN
         ):
-            if builder is not None:
-                structure, payload = builder(coords)
-            else:
-                structure, payload = self.partitioner(coords), None
+            structure = self.partitioner(coords)
         entry_coords = (
             np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
             if self.policy is not None
@@ -354,7 +343,7 @@ class PartitionCache:
         with self._lock:
             self._store(key, _Entry(structure, entry_coords))
         obs.inc("repro_partitions_cold")
-        return structure, "cold", payload
+        return structure, "cold"
 
     def get_ragged(
         self, coords: np.ndarray
@@ -376,7 +365,7 @@ class PartitionCache:
         outcome string (the fused window path feeds it to telemetry)."""
         from ..core.ragged import ragged_of
 
-        structure, outcome, _ = self.acquire(coords)
+        structure, outcome = self.acquire(coords)
         return structure, ragged_of(structure, coords), outcome
 
     def clear(self) -> None:

@@ -5,14 +5,14 @@ this module is the throughput story on top of them: it takes a sequence
 (or generator) of point clouds, partitions each with any registered
 strategy (content-hash cached), runs the block-parallel point-operation
 pipeline — block FPS → ball-query grouping → gathering → KNN
-interpolation — per cloud with the stacked fast paths of
-:mod:`repro.core.bppo`, and schedules clouds across a configurable
+interpolation — per cloud with the kernels :mod:`repro.core.dispatch`
+picks, and schedules clouds across a configurable
 ``concurrent.futures`` worker pool (threads, processes, or a serial
 fallback).  Results stream back in submission order together with
 aggregate throughput statistics.
 
 Scheduling granularity is the *cloud*: blocks inside a cloud are already
-executed "in parallel" by the stacked ops (one vectorized pass over many
+executed "in parallel" by the ragged kernels (one vectorized pass over many
 blocks), so the pool only needs to overlap independent clouds — the
 delayed-batching lesson of Mesorasi applied at the request level.  With
 ``fuse=True`` the engine goes one level further and batches *across*
@@ -40,7 +40,6 @@ import numpy as np
 from .. import obs
 from ..core import bppo, dispatch
 from ..core.bppo import BlockWork, OpTrace, allocate_samples
-from ..core.coldpath import fused_build_and_sample
 from ..core.delta import PatchPolicy
 from ..core.ragged import (
     RaggedBlocks,
@@ -258,8 +257,7 @@ _PROCESS_ENGINE: "BatchExecutor | None" = None
 
 
 def _process_init(partitioner_name: str, block_size: int, kernel: str,
-                  cache_size: int, build_kernel: str = "auto",
-                  delta: bool = False,
+                  cache_size: int, delta: bool = False,
                   delta_policy: "PatchPolicy | None" = None) -> None:
     global _PROCESS_ENGINE
     # A forked pool child inherits the parent's tracer but nothing ever
@@ -274,7 +272,6 @@ def _process_init(partitioner_name: str, block_size: int, kernel: str,
         max_workers=1,
         kernel=kernel,
         cache_size=cache_size,
-        build_kernel=build_kernel,
         delta=delta,
         delta_policy=delta_policy,
     )
@@ -328,8 +325,8 @@ class BatchExecutor:
             ``"serial"``.
         kernel: block-op implementation — ``"auto"`` (default) resolves
             each op per call through the cost-model dispatcher of
-            :mod:`repro.core.dispatch`; ``"loop" | "stacked" | "ragged"``
-            pin one path.  Results are bit-identical either way.
+            :mod:`repro.core.dispatch`; ``"loop" | "ragged"`` pin one
+            path.  Results are bit-identical either way.
         fuse: default for :meth:`run`'s whole-cloud fusion — clouds of a
             batch are size-bucketed and each bucket is concatenated into
             one ragged problem executed as a single kernel invocation per
@@ -365,12 +362,6 @@ class BatchExecutor:
         delta_policy: explicit :class:`~repro.core.delta.PatchPolicy`
             (implies ``delta=True``); ``None`` with ``delta=True`` uses
             the policy defaults.
-        build_kernel: cold-build strategy on a cache miss —
-            ``"build_then_sample"`` partitions then runs block FPS,
-            ``"fused"`` interleaves per-leaf FPS with tree construction
-            (:mod:`repro.core.coldpath`), ``"auto"`` (default) lets the
-            cost model pick (``REPRO_BUILD`` overrides).  Bit-identical
-            either way.
     """
 
     def __init__(
@@ -391,7 +382,6 @@ class BatchExecutor:
         reuse_window: int = 32,
         delta: bool = False,
         delta_policy: PatchPolicy | None = None,
-        build_kernel: str = "auto",
     ):
         if mode not in ("thread", "process", "serial"):
             raise ValueError(f"mode must be thread|process|serial, got {mode!r}")
@@ -438,7 +428,6 @@ class BatchExecutor:
         if reuse_window < 0:
             raise ValueError(f"reuse_window must be >= 0, got {reuse_window}")
         self.reuse_window = reuse_window
-        self.build_kernel = dispatch.validate_build_kernel(build_kernel)
         policy = (
             (delta_policy or PatchPolicy())
             if (delta or delta_policy is not None)
@@ -484,24 +473,7 @@ class BatchExecutor:
         start = obs.now()
         n = len(coords)
         num_samples = pipeline.samples_for(n)
-
-        def cold_build(c: np.ndarray):
-            """Cache-miss builder: the fused kernel hands back its FPS
-            result as the acquire payload, so a fused cold build never
-            pays a second sampling pass below."""
-            name = dispatch.resolve_build_kernel(
-                self.partitioner, n, num_samples, self.build_kernel
-            )
-            if name == "fused":
-                built, sampled, trace = fused_build_and_sample(
-                    self.partitioner, c, num_samples
-                )
-                return built, (sampled, trace)
-            return self.partitioner(c), None
-
-        structure, source, payload = self.cache.acquire(
-            coords, builder=cold_build
-        )
+        structure, source = self.cache.acquire(coords)
         cache_hit = source == "warm"
 
         feats = coords if features is None else features
@@ -513,18 +485,15 @@ class BatchExecutor:
         # work instead of the population-proportion estimate.  A pinned
         # kernel never consults the cost model, so skip the bookkeeping.
         auto = self.kernel == "auto"
-        if payload is not None:
-            sampled, traces["fps"] = payload
-        else:
-            quotas = (
-                allocate_samples(structure.block_sizes, num_samples, clamp=True)
-                if auto
-                else None
-            )
-            sampled, traces["fps"] = dispatch.run_op(
-                "fps", structure, coords, num_samples,
-                kernel=self.kernel, num_centers=num_samples, center_counts=quotas,
-            )
+        quotas = (
+            allocate_samples(structure.block_sizes, num_samples, clamp=True)
+            if auto
+            else None
+        )
+        sampled, traces["fps"] = dispatch.run_op(
+            "fps", structure, coords, num_samples,
+            kernel=self.kernel, num_centers=num_samples, center_counts=quotas,
+        )
         sampled_counts = (
             np.bincount(
                 structure.block_of_point()[sampled],
@@ -586,7 +555,7 @@ class BatchExecutor:
         from ..networks.backends import BlockBackend
 
         start = obs.now()
-        structure, source, _ = self.cache.acquire(coords)
+        structure, source = self.cache.acquire(coords)
         backend = BlockBackend(
             self.partitioner, kernel=self.kernel, cache=self.cache
         )
@@ -701,7 +670,7 @@ class BatchExecutor:
         (``fuse_max_points`` / ``fuse_max_spread``), each bucket is
         concatenated into one ragged problem, and each pipeline stage
         runs as a single kernel invocation over all of its clouds — the
-        batch-level analogue of stacking blocks.  Sizes need not match:
+        batch-level analogue of fusing blocks.  Sizes need not match:
         every cloud keeps its own sample quota and offset-table slice, so
         ragged serving streams (LiDAR frames, mixed assets) fuse too.
         Results are bit-identical to the unfused path and are returned in
@@ -1133,7 +1102,6 @@ class BatchExecutor:
                     self.block_size,
                     self.kernel,
                     self.cache_size,
-                    self.build_kernel,
                     self.delta,
                     self.cache.policy,
                 ),

@@ -142,7 +142,7 @@ class TestLintEngine:
 class TestKernelRules:
     def test_rep001_flags_direct_kernel_calls(self):
         for call in ("block_fps(s, c, 4)",
-                     "bppo.block_ball_query_batched(s, c, i, 0.2, 16)",
+                     "bppo.block_ball_query(s, c, i, 0.2, 16)",
                      "ragged.ragged_knn(s, c, cand, ctr, 3)"):
             assert rules_of(lint(f"{call}\n")) == {"REP001"}, call
 
@@ -152,7 +152,7 @@ class TestKernelRules:
         # implementations directly — that is where they live.
         inside = "block_fps(s, c, 4)\n"
         for home in ("src/repro/core/dispatch.py", "src/repro/core/ragged.py",
-                     "src/repro/core/bppo.py", "src/repro/core/coldpath.py"):
+                     "src/repro/core/bppo.py"):
             assert lint(inside, path=home) == [], home
 
     def test_rep001_applies_outside_the_package_too(self):

@@ -4,10 +4,11 @@ to the exact single-cloud references.
 Four layers of proof obligations, all at index/bit level (``array_equal``,
 never ``allclose``):
 
-1. every ``block_*_batched`` op *and* every ragged CSR kernel
-   (:mod:`repro.core.ragged`) equals its serial ``block_*`` reference
-   across partitioners and cloud shapes (n=1, duplicate points, blocks
-   smaller than the ball-query group size);
+1. every ragged CSR kernel (:mod:`repro.core.ragged`) equals its serial
+   ``block_*`` reference across partitioners and cloud shapes (n=1,
+   duplicate points, blocks smaller than the ball-query group size) —
+   on the cloud's own layout and stacked behind another cloud in one
+   concatenated layout, the engine's fused-window form;
 2. with the ``none`` partitioner (single block) the block ops equal the
    global-search references in :mod:`repro.geometry.ops`;
 3. the :class:`~repro.runtime.executor.BatchExecutor` end-to-end pipeline
@@ -23,31 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import bppo, ragged
+from repro.core.bppo import BlockWork, OpTrace
 from repro.geometry import ops as exact_ops
 from repro.partition import get_partitioner
 from repro.runtime import BatchExecutor, PipelineSpec
 
 PARTITIONERS = ("octree", "kdtree", "uniform", "none", "fractal", "morton")
 CLOUD_SIZES = (1, 2, 7, 33, 257)
-
-#: (label, fps, ball_query, knn, interpolate) — every fast path that must
-#: reproduce the serial ``block_*`` reference bit-for-bit.
-FAST_PATHS = (
-    (
-        "stacked",
-        bppo.block_fps_batched,
-        bppo.block_ball_query_batched,
-        bppo.block_knn_batched,
-        bppo.block_interpolate_batched,
-    ),
-    (
-        "ragged",
-        ragged.ragged_fps,
-        ragged.ragged_ball_query,
-        ragged.ragged_knn,
-        ragged.ragged_interpolate,
-    ),
-)
 
 
 def make_cloud(n: int, seed: int, duplicates: bool = False) -> np.ndarray:
@@ -63,8 +46,75 @@ def structure_for(name: str, coords: np.ndarray, block_size: int = 16):
     return get_partitioner(name, max_points_per_block=block_size)(coords)
 
 
+def _stack(structure, coords):
+    """``coords`` stacked behind a 23-point decoy cloud in one concatenated
+    ragged layout — the form the engine's fused windows run.  The decoy's
+    own centres and candidates share every kernel call; callers slice
+    their rows back and shift ids down by 23."""
+    decoy = make_cloud(23, seed=4242) + 0.25
+    decoy_s = structure_for("kdtree", decoy, block_size=8)
+    layout = ragged.RaggedBlocks.concatenate([
+        ragged.RaggedBlocks.from_structure(s, c)
+        for s, c in ((decoy_s, decoy), (structure, coords))
+    ])
+    return layout, np.concatenate([decoy, coords]), decoy_s
+
+
+def stacked_fps(structure, coords, num):
+    layout, _, decoy_s = _stack(structure, coords)
+    decoy_q = bppo.allocate_samples(decoy_s.block_sizes, 9)
+    quotas = bppo.allocate_samples(structure.block_sizes, num, clamp=True)
+    picked = ragged.fps_on_layout(
+        layout, np.concatenate([decoy_q, quotas]))[decoy_q.sum():]
+    counts = np.bincount(layout.owner[picked] - decoy_s.num_blocks,
+                         minlength=structure.num_blocks)
+    return picked - 23, OpTrace(
+        "fps", [BlockWork(b, 0, 0, c, c) for b, c in enumerate(counts)])
+
+
+def stacked_ball_query(structure, coords, centers, radius, num):
+    layout, both, _ = _stack(structure, coords)
+    neighbors, _ = ragged.ball_query_on_layout(
+        layout, both, np.concatenate([np.arange(0, 23, 3), centers + 23]),
+        radius, num)
+    return neighbors[-len(centers):] - 23, None
+
+
+def stacked_knn(structure, coords, centers, candidates, k):
+    layout, both, decoy_s = _stack(structure, coords)
+    neighbors, counts, cands, widened = ragged.knn_on_layout(
+        layout, both, np.concatenate([np.arange(23), centers + 23]),
+        np.concatenate([np.arange(0, 23, 2), candidates + 23]), k)
+    mine = slice(decoy_s.num_blocks, None)
+    return neighbors[-len(centers):] - 23, OpTrace("knn", [
+        BlockWork(b, 0, s, c, 0, w) for b, (c, s, w) in
+        enumerate(zip(counts[mine], cands[mine], widened[mine]))])
+
+
+def stacked_interpolate(structure, coords, centers, candidates, feats, k):
+    neighbors, trace = stacked_knn(structure, coords, centers, candidates, k)
+    return bppo._interpolate_from_neighbors(
+        structure.num_points, coords, centers, candidates, feats, neighbors
+    ), trace
+
+
+#: (label, fps, ball_query, knn, interpolate) — every fast path that must
+#: reproduce the serial ``block_*`` reference bit-for-bit.
+FAST_PATHS = (
+    ("stacked", stacked_fps, stacked_ball_query, stacked_knn,
+     stacked_interpolate),
+    (
+        "ragged",
+        ragged.ragged_fps,
+        ragged.ragged_ball_query,
+        ragged.ragged_knn,
+        ragged.ragged_interpolate,
+    ),
+)
+
+
 class TestBlockOpParity:
-    """block_*_batched ≡ ragged_* ≡ block_* — indices, weights, traces."""
+    """ragged kernels ≡ block_* — alone and stacked with another cloud."""
 
     @pytest.mark.parametrize("path", FAST_PATHS, ids=lambda p: p[0])
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
@@ -125,9 +175,7 @@ class TestBlockOpParity:
         assert np.array_equal(f_serial, f_fast)  # bit-identical weights
 
     @pytest.mark.parametrize(
-        "gather",
-        [bppo.block_gather_batched, ragged.ragged_gather],
-        ids=["block_gather_batched", "ragged_gather"],  # aliases share a __name__
+        "gather", [ragged.ragged_gather], ids=["ragged_gather"]
     )
     @pytest.mark.parametrize("partitioner", ("kdtree", "none"))
     def test_gather(self, partitioner, gather):
@@ -150,7 +198,7 @@ class TestNonePartitionerMatchesGlobalReference:
         coords = make_cloud(n, seed=300 + n, duplicates=duplicates)
         structure = structure_for("none", coords)
         num = max(1, n // 2)
-        for fps in (bppo.block_fps, bppo.block_fps_batched, ragged.ragged_fps):
+        for fps in (bppo.block_fps, ragged.ragged_fps):
             block, _ = fps(structure, coords, num)
             assert np.array_equal(block, exact_ops.farthest_point_sample(coords, num))
 
@@ -160,8 +208,7 @@ class TestNonePartitionerMatchesGlobalReference:
         structure = structure_for("none", coords)
         centers = np.arange(n, dtype=np.int64)
         reference = exact_ops.ball_query(coords, coords, 0.4, 8)
-        for ball in (bppo.block_ball_query, bppo.block_ball_query_batched,
-                     ragged.ragged_ball_query):
+        for ball in (bppo.block_ball_query, ragged.ragged_ball_query):
             block, _ = ball(structure, coords, centers, 0.4, 8)
             assert np.array_equal(block, reference)
 
@@ -173,7 +220,7 @@ class TestNonePartitionerMatchesGlobalReference:
         k = min(3, len(candidates))
         reference = candidates[exact_ops.knn_search(coords, coords[candidates], k)]
         centers = np.arange(n, dtype=np.int64)
-        for knn in (bppo.block_knn, bppo.block_knn_batched, ragged.ragged_knn):
+        for knn in (bppo.block_knn, ragged.ragged_knn):
             block, _ = knn(structure, coords, centers, candidates, k)
             assert np.array_equal(block, reference)
 
@@ -187,8 +234,7 @@ class TestNonePartitionerMatchesGlobalReference:
         reference = exact_ops.interpolate_features(
             coords, coords[candidates], feats, k
         )
-        for interp in (bppo.block_interpolate, bppo.block_interpolate_batched,
-                       ragged.ragged_interpolate):
+        for interp in (bppo.block_interpolate, ragged.ragged_interpolate):
             block, _ = interp(
                 structure, coords, np.arange(n, dtype=np.int64),
                 candidates, feats, k,
@@ -232,7 +278,7 @@ class TestExecutorParity:
             assert np.array_equal(ref[2], result.grouped)
             assert np.array_equal(ref[3], result.interpolated)
 
-    @pytest.mark.parametrize("kernel", ("loop", "stacked", "ragged", "auto"))
+    @pytest.mark.parametrize("kernel", ("loop", "ragged", "auto"))
     def test_every_kernel_matches_reference(self, kernel):
         pipeline = PipelineSpec(radius=0.4, group_size=8)
         clouds = [make_cloud(n, seed=800 + n, duplicates=(n % 2 == 0))
@@ -340,8 +386,8 @@ class TestMixedSizeFusedParity:
     @pytest.mark.parametrize("partitioner", ("kdtree", "fractal", "uniform", "none"))
     def test_mixed_sizes_match_reference(self, partitioner):
         pipeline = PipelineSpec(radius=0.4, group_size=8)
-        # Sizes straddle _STACK_SMALL (128) and RAGGED_BLOCK_MAX (512),
-        # so one batch spans all three kernel regimes.
+        # Sizes straddle 128 and RAGGED_BLOCK_MAX (512), so one batch
+        # spans small, mid-size and oversize clouds.
         sizes = (97, 120, 128, 131, 250, 500, 512, 530)
         clouds = [make_cloud(n, seed=1100 + n, duplicates=(n % 2 == 0))
                   for n in sizes]
@@ -576,10 +622,8 @@ class TestLargeCloudParity:
         coords = make_cloud(20_000, seed=1)
         structure = structure_for(partitioner, coords, block_size=256)
         serial, _ = bppo.block_fps(structure, coords, 5000)
-        batched, _ = bppo.block_fps_batched(structure, coords, 5000)
-        assert np.array_equal(serial, batched)
+        fused, _ = ragged.ragged_fps(structure, coords, 5000)
+        assert np.array_equal(serial, fused)
         b_serial, _ = bppo.block_ball_query(structure, coords, serial, 0.1, 32)
-        b_batched, _ = bppo.block_ball_query_batched(
-            structure, coords, serial, 0.1, 32
-        )
-        assert np.array_equal(b_serial, b_batched)
+        b_fused, _ = ragged.ragged_ball_query(structure, coords, serial, 0.1, 32)
+        assert np.array_equal(b_serial, b_fused)

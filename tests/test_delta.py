@@ -234,9 +234,9 @@ class TestCacheDeltaProtocol:
         partitioner = get_partitioner("kdtree", max_points_per_block=64)
         cache = PartitionCache(partitioner, policy=PatchPolicy())
         old = _cloud(400, 0)
-        s0, outcome0, _ = cache.acquire(old)
+        s0, outcome0 = cache.acquire(old)
         new = _jitter(old, 1e-6, 1)
-        s1, outcome1, _ = cache.acquire(new)
+        s1, outcome1 = cache.acquire(new)
         assert (outcome0, outcome1) == ("cold", "reused")
         assert s1 is s0  # shared object, zero rebuild work
         _assert_structures_equal(s1, partitioner(new))  # and provably right
@@ -247,7 +247,7 @@ class TestCacheDeltaProtocol:
         cache = PartitionCache(partitioner, policy=PatchPolicy())
         coords = _cloud(100, 0)
         cache.acquire(coords)
-        structure, outcome, _ = cache.acquire(coords.copy())
+        structure, outcome = cache.acquire(coords.copy())
         assert outcome == "warm"
         assert cache.hits == 1
         # The bool-returning compatibility surface agrees.
@@ -261,7 +261,7 @@ class TestCacheDeltaProtocol:
         cache.acquire(old)
         new = _jitter(old, 1e-3, 3)
         new = np.concatenate([new[:-20], _cloud(20, 4) * 0.5])
-        structure, outcome, _ = cache.acquire(new)
+        structure, outcome = cache.acquire(new)
         assert outcome == "patched"
         structure.validate()
         assert structure.num_points == len(new)
@@ -286,16 +286,15 @@ class TestCacheDeltaProtocol:
         new = np.concatenate(
             [_jitter(old, 1e-3, 6)[:-30], _cloud(30, 7) * 0.5]
         )
-        structure, outcome, _ = cache.acquire(new)
+        structure, outcome = cache.acquire(new)
         assert outcome == "patched"
         ragged_of(structure, new)  # build the CSR layout once
         outs = {
             kernel: dispatch.run_op(
                 "fps", structure, new, 150, kernel=kernel
             )[0]
-            for kernel in ("loop", "stacked", "ragged")
+            for kernel in ("loop", "ragged")
         }
-        assert np.array_equal(outs["loop"], outs["stacked"])
         assert np.array_equal(outs["loop"], outs["ragged"])
 
     def test_chained_patches(self):
@@ -310,7 +309,7 @@ class TestCacheDeltaProtocol:
                 [_jitter(frame, 1e-3, 10 + step)[:-10],
                  rng.normal(size=(10, 3)) * 0.5]
             )
-            structure, outcome, _ = cache.acquire(frame)
+            structure, outcome = cache.acquire(frame)
             outcomes.append(outcome)
             structure.validate()
             assert structure.num_points == len(frame)
@@ -327,7 +326,7 @@ class TestCacheDeltaProtocol:
         cache.acquire(old)
         at = old.copy()
         at[0, 0] = 0.05
-        _, outcome, _ = cache.acquire(at)
+        _, outcome = cache.acquire(at)
         assert outcome in ("reused", "patched")
 
         # Just above (mid-frame, so it cannot be trimmed as churn): the
@@ -336,7 +335,7 @@ class TestCacheDeltaProtocol:
         cache.acquire(old)
         over = old.copy()
         over[0, 0] = 0.0501
-        _, outcome, _ = cache.acquire(over)
+        _, outcome = cache.acquire(over)
         assert outcome == "cold"
         assert cache.cold_builds == 2
 
@@ -347,7 +346,7 @@ class TestCacheDeltaProtocol:
         old = _cloud(200, 11)
         cache.acquire(old)
         new = np.concatenate([old[:-50], _cloud(50, 12)])  # 50% churn
-        _, outcome, _ = cache.acquire(new)
+        _, outcome = cache.acquire(new)
         assert outcome == "cold"
 
     def test_non_fractal_churn_rebuilds(self):
@@ -358,14 +357,14 @@ class TestCacheDeltaProtocol:
         old = _cloud(300, 13)
         cache.acquire(old)
         new = np.concatenate([old[:-10], _cloud(10, 14) + 30.0])
-        _, outcome, _ = cache.acquire(new)
+        _, outcome = cache.acquire(new)
         assert outcome == "cold"
 
     def test_corrupted_patch_falls_back_to_rebuild(self, monkeypatch):
         partitioner = get_partitioner("fractal", max_points_per_block=64)
         cache = PartitionCache(partitioner, policy=PatchPolicy())
         old = _cloud(300, 15)
-        s0, _, _ = cache.acquire(old)
+        s0, _ = cache.acquire(old)
 
         monkeypatch.setattr(
             "repro.runtime.cache.updater_from_certificate",
@@ -374,7 +373,7 @@ class TestCacheDeltaProtocol:
             ),
         )
         new = np.concatenate([_jitter(old, 1e-3, 16)[:-10], _cloud(10, 17)])
-        structure, outcome, _ = cache.acquire(new)
+        structure, outcome = cache.acquire(new)
         # The stub's output fails the sanity gate (stale coordinates),
         # so the cache rebuilds instead of serving it.
         assert outcome == "cold"
@@ -385,7 +384,7 @@ class TestCacheDeltaProtocol:
         cache = PartitionCache(partitioner)
         old = _cloud(200, 18)
         cache.acquire(old)
-        _, outcome, _ = cache.acquire(_jitter(old, 1e-9, 19))
+        _, outcome = cache.acquire(_jitter(old, 1e-9, 19))
         assert outcome == "cold"
         assert cache.patches == 0 and cache.delta_reuses == 0
 
@@ -426,7 +425,7 @@ class TestCacheDeltaProtocol:
                 frame = np.concatenate(
                     [frame[:-k], rng.normal(size=(k, 3))]
                 )
-            structure, outcome, _ = cache.acquire(frame)
+            structure, outcome = cache.acquire(frame)
             assert outcome in ("warm", "reused", "patched", "cold")
             structure.validate()
             assert structure.num_points == len(frame)

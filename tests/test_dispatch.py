@@ -1,13 +1,14 @@
-"""Dispatch-boundary tests: the stacked→ragged→loop crossover is pinned.
+"""Dispatch-boundary tests: the ragged→loop crossover is pinned.
 
-``repro.core.dispatch`` resolves every block op to one of three
+``repro.core.dispatch`` resolves every block op to one of two
 bit-identical kernels.  These tests pin the boundary behaviour:
 
 - parity on synthetic partitions whose per-block work products sit *just
-  below*, *at*, and *just above* ``_STACK_SMALL`` (the stacked fast
-  path's cutoff) — the regime the ragged kernels were built for;
+  below*, *at*, and *just above* 128 — the small-block regime, where
+  per-block dispatch overhead dominates and auto picks ``ragged``;
 - the cost model's regime choices and the ``REPRO_KERNEL`` override;
-- a hypothesis property: kernel choice never changes indices, for any
+- hypothesis properties: every choice is a registered kernel, and
+  kernel choice never changes indices, for any
   cloud/partitioner/blocksize drawn;
 - cache hygiene: ``clear_caches`` flushes every live partition cache and
   the ragged layouts riding on them.
@@ -21,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import bppo, dispatch, ragged
 from repro.core.blocks import Block, BlockStructure, PartitionCost
-from repro.core.bppo import _STACK_SMALL
 from repro.core.ragged import RAGGED_BLOCK_MAX
 from repro.partition import get_partitioner
 from repro.runtime import PartitionCache, clear_caches
@@ -48,11 +48,10 @@ def synthetic_structure(block_size: int, num_blocks: int, seed: int = 0):
 
 
 class TestStackSmallStraddle:
-    """Parity with per-block products just below / at / just above the
-    stacked cutoff — the crossover the dispatcher moves across."""
+    """Parity with per-block products just below / at / just above 128:
+    small blocks, which auto sends to the ragged kernels."""
 
-    # block_size=16 and 7/8/9 centres per block give products 112/128/144:
-    # strictly below, exactly at, and strictly above _STACK_SMALL=128.
+    # block_size=16 and 7/8/9 centres per block give products 112/128/144.
     CENTERS_PER_BLOCK = (7, 8, 9)
 
     def _centers(self, structure, per_block):
@@ -64,14 +63,8 @@ class TestStackSmallStraddle:
     def test_ball_query_crossover(self, per_block):
         structure, coords = synthetic_structure(16, 6, seed=per_block)
         centers = self._centers(structure, per_block)
-        product = per_block * 16
-        assert (product < _STACK_SMALL) or (product == _STACK_SMALL) or (
-            product > _STACK_SMALL
-        )
         serial, _ = bppo.block_ball_query(structure, coords, centers, 0.6, 5)
-        stacked, _ = bppo.block_ball_query_batched(structure, coords, centers, 0.6, 5)
         fused, _ = ragged.ragged_ball_query(structure, coords, centers, 0.6, 5)
-        assert np.array_equal(serial, stacked)
         assert np.array_equal(serial, fused)
 
     @pytest.mark.parametrize("per_block", CENTERS_PER_BLOCK)
@@ -80,9 +73,7 @@ class TestStackSmallStraddle:
         centers = self._centers(structure, per_block)
         candidates = np.arange(0, structure.num_points, 2, dtype=np.int64)
         serial, t_serial = bppo.block_knn(structure, coords, centers, candidates, 3)
-        stacked, _ = bppo.block_knn_batched(structure, coords, centers, candidates, 3)
         fused, t_fused = ragged.ragged_knn(structure, coords, centers, candidates, 3)
-        assert np.array_equal(serial, stacked)
         assert np.array_equal(serial, fused)
         assert [w.widened for w in t_serial.blocks] == [
             w.widened for w in t_fused.blocks
@@ -92,7 +83,7 @@ class TestStackSmallStraddle:
         """Exact duplicates (tie-breaking stress) exactly at the cutoff."""
         structure, coords = synthetic_structure(16, 4, seed=3)
         coords[8:16] = coords[0:8]  # duplicate within block 0
-        centers = self._centers(structure, 8)  # product == _STACK_SMALL
+        centers = self._centers(structure, 8)  # product == 128
         serial, _ = bppo.block_ball_query(structure, coords, centers, 0.5, 4)
         fused, _ = ragged.ragged_ball_query(structure, coords, centers, 0.5, 4)
         assert np.array_equal(serial, fused)
@@ -124,7 +115,6 @@ class TestAutoMatchesTheProbeAtScale:
     @pytest.fixture(autouse=True)
     def _no_ambient_pins(self, monkeypatch):
         monkeypatch.delenv(dispatch.KERNEL_ENV, raising=False)
-        monkeypatch.delenv(dispatch.BUILD_KERNEL_ENV, raising=False)
 
     @pytest.fixture(scope="class")
     def scene(self):
@@ -144,29 +134,33 @@ class TestAutoMatchesTheProbeAtScale:
         assert auto == dispatch.choose_kernel("fps", structure, 2500)
         assert auto == _fastest(picks) == "ragged"
 
-    def test_auto_build(self, scene):
-        partitioner, coords, _ = scene
-        picks = {
-            name: (lambda name=name: dispatch.run_build(
-                partitioner, coords, 2500, kernel=name))
-            for name in dispatch.BUILD_KERNEL_NAMES[1:]
-        }
-        auto = dispatch.choose_build_kernel(partitioner, len(coords), 2500)
-        assert auto == _fastest(picks) == "build_then_sample"
-        # ... and the two-pass build reaches the dispatched FPS kernel.
-        structure, sampled, _, name = dispatch.run_build(partitioner, coords, 2500)
-        assert name == "build_then_sample"
-        reference, _ = bppo.block_fps(structure, coords, 2500)
+    def test_auto_build(self, scene, monkeypatch):
+        """The cold build reaches the dispatched FPS kernel — ragged at
+        this scale — and stays bit-identical to the per-block loop."""
+        partitioner, coords, built = scene
+        reference, _ = bppo.block_fps(built, coords, 2500)
+        monkeypatch.setitem(dispatch.KERNELS["fps"], "loop", None)  # not callable
+        structure, sampled, _ = dispatch.run_build(partitioner, coords, 2500)
+        assert structure.num_blocks == built.num_blocks
         assert np.array_equal(sampled, reference)
 
 
 class TestCostModel:
     """The auto chooser picks the regime holding the work mass."""
 
-    def test_small_blocks_go_stacked(self):
-        structure, _ = synthetic_structure(8, 10)
-        # ~4 centres per 8-point block → products ≈ 32 « _STACK_SMALL.
-        assert dispatch.choose_kernel("ball_query", structure, 40) == "stacked"
+    def test_small_blocks_go_ragged(self):
+        """16-point kdtree leaves with products <= 128: auto picks the
+        ragged kernels, bit-identical to the per-block loop."""
+        coords = np.random.default_rng(8).normal(size=(320, 3))
+        structure = get_partitioner("kdtree", max_points_per_block=16)(coords)
+        centers = np.arange(0, 320, 4)
+        counts = np.bincount(structure.block_of_point()[centers],
+                             minlength=structure.num_blocks)
+        assert (counts * structure.search_sizes).max() <= 128
+        assert dispatch.choose_kernel("ball_query", structure, 80, counts) == "ragged"
+        args = ("ball_query", structure, coords, centers, 0.5, 8)
+        auto, _ = dispatch.run_op(*args, num_centers=80, center_counts=counts)
+        assert np.array_equal(auto, dispatch.run_op(*args, kernel="loop")[0])
 
     def test_mid_blocks_go_ragged(self):
         structure, _ = synthetic_structure(32, 10)
@@ -182,10 +176,10 @@ class TestCostModel:
     def test_gather_goes_through_cost_model(self):
         """Regression: gather was hardcoded to 'loop' with a stale
         "single implementation" comment despite the registry holding
-        stacked and ragged gather entries; it must cost-dispatch like
+        loop and ragged gather entries; it must cost-dispatch like
         every other op."""
         small, _ = synthetic_structure(8, 10)
-        assert dispatch.choose_kernel("gather", small, 40) == "stacked"
+        assert dispatch.choose_kernel("gather", small, 40) == "ragged"
         mid, _ = synthetic_structure(32, 10)
         assert dispatch.choose_kernel("gather", mid, 160) == "ragged"
         big, _ = synthetic_structure(256, 4)
@@ -228,16 +222,16 @@ class TestCostModel:
             dispatch.resolve_kernel("ball_query", structure, 40)
         # Pins and the environment still go through validation.
         assert dispatch.resolve_kernel("gather", structure, 40, "ragged") == "ragged"
-        monkeypatch.setenv(dispatch.KERNEL_ENV, "stacked")
-        assert dispatch.resolve_kernel("gather", structure, 40) == "stacked"
+        monkeypatch.setenv(dispatch.KERNEL_ENV, "loop")
+        assert dispatch.resolve_kernel("gather", structure, 40) == "loop"
 
     def test_measured_center_counts_beat_the_estimate(self):
         """Skewed measured counts flip the choice the proportional
         estimate would make: 6 blocks of 16 points, 48 centres.  Spread
-        proportionally (8 per block) every product is 128 → stacked; all
+        proportionally (8 per block) every product is 128 → ragged; all
         measured onto one block the product is 48·16 = 768 → loop."""
         structure, _ = synthetic_structure(16, 6)
-        assert dispatch.choose_kernel("ball_query", structure, 48) == "stacked"
+        assert dispatch.choose_kernel("ball_query", structure, 48) == "ragged"
         measured = np.array([48, 0, 0, 0, 0, 0], dtype=np.int64)
         assert (
             dispatch.choose_kernel("ball_query", structure, 48, measured)
@@ -258,7 +252,36 @@ class TestCostModel:
         with pytest.raises(ValueError, match="kernel"):
             dispatch.resolve_kernel("fps", structure, 10)
         # A bogus env var is irrelevant when the caller pinned a kernel.
-        assert dispatch.resolve_kernel("fps", structure, 10, "stacked") == "stacked"
+        assert dispatch.resolve_kernel("fps", structure, 10, "ragged") == "ragged"
+
+    def test_env_rejects_a_retired_kernel(self, monkeypatch):
+        """``REPRO_KERNEL`` is outside input: a name no longer registered
+        fails loudly, naming the kernels that exist."""
+        structure, coords = synthetic_structure(8, 2)
+        monkeypatch.setenv(dispatch.KERNEL_ENV, "stacked")
+        with pytest.raises(ValueError, match=r"\('auto', 'loop', 'ragged'\)"):
+            dispatch.run_op("fps", structure, coords, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+        centers=st.lists(st.integers(0, 600), min_size=12, max_size=12),
+        op=st.sampled_from(sorted(dispatch.KERNELS)),
+    )
+    def test_choice_is_always_registered(self, sizes, centers, op):
+        """Any block sizes, any measured centre counts, and the
+        zero-point structure all resolve to a key of ``KERNELS[op]``."""
+        assert set(dispatch.KERNELS[op]) == set(dispatch.KERNEL_NAMES) - {"auto"}
+        bounds = np.cumsum([0] + sizes)
+        blocks = [Block(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        empty = BlockStructure(0, [], [], PartitionCost())
+        structure = BlockStructure(
+            int(bounds[-1]), blocks, [b.indices for b in blocks], PartitionCost()
+        )
+        counts = np.minimum(centers[: len(sizes)], sizes)
+        for s, args in ((structure, ()), (structure, (int(counts.sum()),)),
+                        (structure, (None, counts)), (empty, ())):
+            assert dispatch.choose_kernel(op, s, *args) in dispatch.KERNELS[op]
 
     def test_run_op_rejects_unknown(self):
         structure, coords = synthetic_structure(8, 2)
@@ -295,7 +318,7 @@ class TestDispatchNeverChangesIndices:
         k = min(3, len(candidates))
         centers = np.arange(n, dtype=np.int64)
         ref_knn, _ = bppo.block_knn(structure, coords, centers, candidates, k)
-        for kernel in ("stacked", "ragged", "auto"):
+        for kernel in dispatch.KERNEL_NAMES:
             got_fps, _ = dispatch.run_op(
                 "fps", structure, coords, num, kernel=kernel, num_centers=num
             )

@@ -111,7 +111,7 @@ class TestEngineParity:
             assert result.sampled.size == 0
             assert result.interpolated is None
 
-    @pytest.mark.parametrize("kernel", ["loop", "stacked", "ragged"])
+    @pytest.mark.parametrize("kernel", ["loop", "ragged"])
     def test_kernel_env_matrix(self, kernel, monkeypatch):
         """REPRO_KERNEL never changes the served logits."""
         coords = make_cloud(130, seed=5)

@@ -449,7 +449,6 @@ class TestExport:
 
     def test_stage_mapping(self):
         assert export.stage_of("op.fps") == "op.fps"
-        assert export.stage_of("build.fused") == "build"
         assert export.stage_of("partition.build") == "build"
         assert export.stage_of("partition.patch") == "patch"
         assert export.stage_of("shard.serialize") == "transport"
