@@ -1,8 +1,8 @@
 """Kernel-routing invariants: REP001 (dispatch) and REP002 (env reads).
 
-The repo's headline guarantee — the two kernels of every op (`loop` and
-`ragged`) are bit-identical and chosen one way — only holds because every
-call site routes through :mod:`repro.core.dispatch`, where the
+The repo's headline guarantee — every kernel name of an op (`loop` and
+`ragged`) gives bit-identical results and is chosen one way — only holds
+because every call site routes through :mod:`repro.core.dispatch`, where the
 precedence contract (explicit argument > ``REPRO_*`` environment > cost
 model) lives in exactly one place.  A real bug of this class once let
 ``REPRO_KERNEL`` beat an explicit ``kernel=`` argument, because a second
@@ -22,10 +22,8 @@ __all__ = ["DIRECT_KERNELS", "KERNEL_HOME"]
 _OPS = ("fps", "ball_query", "knn", "interpolate", "gather")
 
 #: Implementation entry points that bypass the dispatcher when called
-#: directly: the per-block loop kernels and the fused ragged CSR kernels.
-DIRECT_KERNELS = frozenset(
-    {f"block_{op}" for op in _OPS} | {f"ragged_{op}" for op in _OPS}
-)
+#: directly: the per-block loop kernels and the ragged FPS recurrence.
+DIRECT_KERNELS = frozenset({f"block_{op}" for op in _OPS} | {"ragged_fps"})
 
 #: Modules allowed to touch kernel implementations: where they are
 #: defined (bppo, ragged) and the dispatcher itself.
@@ -40,7 +38,7 @@ KERNEL_HOME = (
     "REP001",
     "kernel-outside-dispatch",
     "kernel ops must route through dispatch.run_op/run_build, never call "
-    "block_*/ragged_* implementations directly",
+    "block_*/ragged_fps implementations directly",
 )
 def check_direct_kernel_calls(ctx: ModuleContext):
     if ctx.in_module(*KERNEL_HOME):

@@ -6,10 +6,12 @@
   DFT-contiguous memory layout.
 - :mod:`repro.core.bppo` — block-parallel sampling, neighbour search,
   interpolation, and gathering (the per-block loop kernels).
-- :mod:`repro.core.ragged` — the CSR block layout and fused segment-wise
-  kernels for small and mid-size blocks (and whole-cloud fusion).
-- :mod:`repro.core.dispatch` — the kernel registry and cost-model
-  dispatcher choosing ``loop | ragged`` per call.
+- :mod:`repro.core.ragged` — the CSR block layout (and whole-cloud
+  fusion), the ragged FPS recurrence, and the per-block search loops the
+  served path runs on it.
+- :mod:`repro.core.dispatch` — the kernel registry; FPS chooses
+  ``loop | ragged`` per call by its step rule, every other op has one
+  implementation.
 - :mod:`repro.core.delta` — frame deltas, rebuild certificates, and the
   incremental-update glue of the streaming-frames protocol.
 """
@@ -47,16 +49,7 @@ from .dispatch import (
     run_op,
 )
 from .fractal import fractal_partition
-from .ragged import (
-    RAGGED_BLOCK_MAX,
-    RaggedBlocks,
-    ragged_ball_query,
-    ragged_fps,
-    ragged_gather,
-    ragged_interpolate,
-    ragged_knn,
-    ragged_of,
-)
+from .ragged import RaggedBlocks, ragged_fps, ragged_of
 from .graph import block_knn_graph, edge_recall, exact_knn_graph
 from .layout import BlockLayout
 from .serialize import load_block_structure, save_block_structure, save_tree
@@ -79,7 +72,6 @@ __all__ = [
     "OpTrace",
     "PartitionCost",
     "PatchPolicy",
-    "RAGGED_BLOCK_MAX",
     "RaggedBlocks",
     "allocate_samples",
     "attach_certificate",
@@ -95,11 +87,7 @@ __all__ = [
     "exact_knn_graph",
     "fractal_partition",
     "load_block_structure",
-    "ragged_ball_query",
     "ragged_fps",
-    "ragged_gather",
-    "ragged_interpolate",
-    "ragged_knn",
     "ragged_of",
     "resolve_kernel",
     "run_build",

@@ -371,8 +371,8 @@ def _interpolate_from_neighbors(
     candidate_features: np.ndarray,
     neighbors: np.ndarray,
 ) -> np.ndarray:
-    """Inverse-distance blend of neighbour features (shared by the serial,
-    ragged, and fused interpolation paths, so identical neighbours give
+    """Inverse-distance blend of neighbour features (shared by the serial
+    and fused interpolation paths, so identical neighbours give
     bit-identical features)."""
     # Map global candidate ids back to feature rows.
     feature_row = np.full(num_points, -1, dtype=np.int64)

@@ -1,62 +1,41 @@
 """Kernel registry and cost-model dispatch for block-parallel point ops.
 
-Every block-parallel operation has two interchangeable implementations —
-the per-block **loop** (:mod:`repro.core.bppo` ``block_*``) and the fused
-**ragged** CSR kernels (:mod:`repro.core.ragged`) — bit-identical under
-the parity suite, differing only in speed.  This module is the single
-place that knows which one to run:
+Every block-parallel operation is registered under two kernel names,
+``loop`` and ``ragged``, with one uniform
+``(structure, coords, ...) -> (result, trace)`` signature.  This module
+is the single place that knows which one to run:
 
-- :data:`KERNELS` maps ``op name → kernel name → callable`` with the
-  uniform ``(structure, coords, ...) -> (result, trace)`` signature;
+- :data:`KERNELS` maps ``op name → kernel name → callable``;
 - :func:`choose_kernel` picks a kernel from the partition's block-size
-  statistics (see the dispatch table below);
+  statistics;
 - :func:`run_op` resolves and executes in one call — the entry point the
   network backends and the batch executor go through.
 
-Dispatch table (``kernel="auto"``)
-----------------------------------
+Only FPS has two implementations: the per-block loop
+(:func:`repro.core.bppo.block_fps`) and the ragged CSR recurrence
+(:func:`repro.core.ragged.ragged_fps`), bit-identical under the parity
+suite and differing only in speed.  The neighbour searches
+(``ball_query``, ``knn``, ``interpolate``) and ``gather`` register their
+one per-block implementation (:mod:`repro.core.bppo` ``block_*``) under
+both names, so resolving them never consults the cost model.
 
-The unit of cost of the neighbour searches (``ball_query``, ``knn``,
-``interpolate``) is a block's *work product* — centres × search-space
-size, the number of distance evaluations the block needs.  Auto dispatch
-assigns each block's product to one of two regimes and picks the kernel
-owning the larger share of total work:
+FPS rule (``kernel="auto"``)
+----------------------------
 
-======== ============================================ =====================
-kernel   regime (per-block work product)              why it wins there
-======== ============================================ =====================
-ragged   ``<= RAGGED_BLOCK_MAX`` (512)                a per-block Python
-                                                      trip costs more than
-                                                      the block's distance
-                                                      math; one fused pass
-                                                      covers every block
-loop     ``> RAGGED_BLOCK_MAX``                       each block is
-                                                      dominated by its own
-                                                      GEMM; fusion buys
-                                                      nothing
-======== ============================================ =====================
-
-**FPS has no GEMM regime** — every step of its recurrence is an
-elementwise pass plus an argmax, whatever the block size — so its unit
-of cost is the recurrence *step*: the loop takes one Python trip per
-sample per block (``sum(quotas)``), the ragged kernel one trip per sample
-of the fullest block (``max(quotas)``) with every block riding along.  A
+FPS has no GEMM regime — every step of its recurrence is an elementwise
+pass plus an argmax, whatever the block size — so its unit of cost is
+the recurrence *step*: the loop takes one Python trip per sample per
+block (``sum(quotas)``), the ragged kernel one trip per sample of the
+fullest block (``max(quotas)``) with every block riding along.  A
 ragged step (three coordinate columns plus a segment argmax) costs about
 two loop steps, so FPS goes ``ragged`` once the other blocks together
-run more steps than the largest block alone, else ``loop``.
+run more steps than the largest block alone, else ``loop``.  A
+single-block partition leaves nothing to fuse (``loop``).
 
-Two shortcuts skip the arithmetic: a single-block partition leaves
-nothing to fuse (``loop``), and an op registered with one implementation
-under every name (``gather``) is resolved without consulting the cost
-model at all — the arithmetic costs more than the gather.
-
-Centre counts are exact when the caller already groups its centres by
-block — pipeline stages know how many centres each block received from
-the previous stage — so :func:`choose_kernel` accepts **measured**
-per-block counts (``center_counts``) and uses them verbatim.  Callers
-that only know the total fall back to spreading the requested centres
-proportionally to block population — exact for FPS quotas, a close proxy
-elsewhere.  Misprediction costs speed only, never results.
+Callers that hold the FPS quotas pass them as ``center_counts`` and the
+rule uses them verbatim; otherwise the requested samples are spread
+proportionally to block population (what the quotas are, up to
+rounding).  Misprediction costs speed only, never results.
 
 Overrides
 ---------
@@ -78,7 +57,6 @@ import numpy as np
 from . import bppo, ragged
 from .. import obs
 from .blocks import BlockStructure
-from .ragged import RAGGED_BLOCK_MAX
 
 __all__ = [
     "AGG_ENV",
@@ -108,21 +86,15 @@ KERNEL_ENV = "REPRO_KERNEL"
 KERNEL_NAMES = ("auto", "loop", "ragged")
 
 #: op name → kernel name → implementation.  All entries of one op take the
-#: same arguments and return bit-identical ``(result, trace)``.
+#: same arguments and return bit-identical ``(result, trace)``.  Only FPS
+#: has two implementations; every other op is one per-block function
+#: under both names.
 KERNELS: dict[str, dict[str, Callable]] = {
     "fps": {"loop": bppo.block_fps, "ragged": ragged.ragged_fps},
-    "ball_query": {
-        "loop": bppo.block_ball_query,
-        "ragged": ragged.ragged_ball_query,
-    },
-    "knn": {"loop": bppo.block_knn, "ragged": ragged.ragged_knn},
-    "interpolate": {
-        "loop": bppo.block_interpolate,
-        "ragged": ragged.ragged_interpolate,
-    },
-    # Gathering is one fancy-indexing pass whichever way the blocks are
-    # laid out: the same function under every name.
-    "gather": dict.fromkeys(("loop", "ragged"), bppo.block_gather),
+    "ball_query": dict.fromkeys(KERNEL_NAMES[1:], bppo.block_ball_query),
+    "knn": dict.fromkeys(KERNEL_NAMES[1:], bppo.block_knn),
+    "interpolate": dict.fromkeys(KERNEL_NAMES[1:], bppo.block_interpolate),
+    "gather": dict.fromkeys(KERNEL_NAMES[1:], bppo.block_gather),
 }
 
 
@@ -146,18 +118,15 @@ def choose_kernel(
     Args:
         op: operation name (a :data:`KERNELS` key).
         structure: the partition the op will run over.
-        num_centers: total query centres (sample count for ``fps``,
-            centre rows for the neighbour searches); ``None`` assumes one
-            centre per point.
-        center_counts: measured ``(num_blocks,)`` per-block centre counts
-            — e.g. the FPS quotas, or a bincount of the previous stage's
-            sampled centres over the owner map.  When given, it replaces
-            the population-proportion estimate, so skewed partitions
-            dispatch on their real work distribution.
+        num_centers: total FPS samples; ``None`` assumes one per point.
+        center_counts: measured ``(num_blocks,)`` per-block FPS quotas.
+            When given, they replace the population-proportion estimate,
+            so skewed partitions dispatch on their real step counts.
 
     Returns:
-        The kernel name owning the larger share of estimated work
-        (recurrence steps for ``fps``, see the module docstring).
+        ``fps``: the kernel running fewer estimated recurrence steps (see
+        the module docstring).  Every other op has one implementation,
+        so any registered name is right and ``loop`` is returned.
     """
     sizes = structure.block_sizes.astype(np.float64)
     total = sizes.sum()
@@ -173,14 +142,10 @@ def choose_kernel(
     else:
         m = total if num_centers is None else float(num_centers)
         centers_est = m * sizes / total
-    if structure.num_blocks == 1:
-        return "loop"  # nothing to fuse
-    if op == "fps":
-        fullest = centers_est.max()
-        return "ragged" if centers_est.sum() - fullest > fullest else "loop"
-    products = centers_est * structure.search_sizes
-    fused = products <= RAGGED_BLOCK_MAX
-    return "ragged" if products[fused].sum() >= products[~fused].sum() else "loop"
+    if structure.num_blocks == 1 or op != "fps":
+        return "loop"  # nothing to fuse, or nothing to choose
+    fullest = centers_est.max()
+    return "ragged" if centers_est.sum() - fullest > fullest else "loop"
 
 
 def resolve_kernel(
@@ -195,9 +160,9 @@ def resolve_kernel(
     Precedence: an explicit non-``auto`` ``kernel`` argument wins
     outright; :data:`KERNEL_ENV` fills in only when the argument is
     ``"auto"``; whatever is still ``"auto"`` after that goes to the cost
-    model (with measured ``center_counts`` when the caller has them) —
-    unless the op has one implementation registered under every name,
-    which is returned as is.
+    model (with the FPS quotas as ``center_counts`` when the caller has
+    them) — unless the op has one implementation registered under every
+    name, which is returned as is.
     """
     kernel = validate_kernel(kernel)
     if kernel == "auto":

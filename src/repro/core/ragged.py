@@ -1,8 +1,6 @@
-"""Ragged CSR block layout and fused segment-wise point-op kernels.
+"""Ragged CSR block layout and the point ops the served path runs on it.
 
-The per-block loop (``block_*``) pays Python/numpy dispatch overhead once
-per block, which dominates once blocks are small.  This module holds the
-representation that regime wants — a **CSR (compressed sparse row)
+The engine's fused windows work on a **CSR (compressed sparse row)
 layout** of the whole partition:
 
 - ``coords``: the cloud's coordinates permuted so every block's points are
@@ -14,37 +12,33 @@ layout** of the whole partition:
 - ``perm`` / ``owner``: the flat-slot → global-id permutation and its
   per-point inverse block map.
 
-Kernels over this layout (:func:`ragged_fps`, :func:`ragged_ball_query`,
-:func:`ragged_knn`, :func:`ragged_interpolate`) visit **all blocks at
-once** with segment reductions (``np.ufunc.reduceat`` argmax/argmin tricks,
-flat cumulative-sum hit ranking, one dense scatter handed to the shared
-top-k rule ``repro.geometry.ops._knn_from_dists``) instead of looping.  FPS streams the layout's coordinate *columns*
-(``RaggedBlocks.columns``, SoA) through preallocated buffers.  There is
-no padding waste and — outside the two documented per-block escapes
-below — no per-block Python work beyond trace construction.
+FPS (:func:`fps_on_layout`, and :func:`ragged_fps` over one partition)
+visits **all blocks at once**: one greedy recurrence over the flat
+point array, with ``np.ufunc.reduceat`` segment argmax, streaming the
+layout's coordinate *columns* (``RaggedBlocks.columns``, SoA) through
+preallocated buffers.  The neighbour searches
+(:func:`ball_query_on_layout`, :func:`knn_on_layout`) read the CSR search
+spaces but run **one reference call per populated block** — the
+block-parallel point operations of paper §IV-B, each block searching its
+own space.
 
 Bit-parity contract
 -------------------
 
-Every kernel returns indices (and features) **bit-identical** to its
-serial reference in :mod:`repro.core.bppo`.  Two mechanisms guarantee it:
+Every op returns indices (and features) **bit-identical** to its serial
+reference in :mod:`repro.core.bppo`:
 
-1. Selection logic (radius hits in candidate order, first-hit padding,
-   nearest fallback, (distance, index) lexicographic top-k, first-tie
-   argmax for FPS) is uniquely determined by the distance bits, so any
-   faithful implementation agrees exactly.
-2. Distance bits match because each block's distances are computed with
-   the *same arithmetic* the reference would use: blocks in the
-   elementwise regime (``centers × candidates <=``
-   ``repro.geometry.ops._DIRECT_FORM_MAX``) are evaluated in one flat
-   elementwise pass (elementwise ops are bit-independent of how the
-   problem is sliced), while larger blocks call the reference
-   :func:`repro.geometry.ops.pairwise_sq_dists` on exactly the reference
-   shapes (one call per block — the first per-block escape).  Blocks whose
-   work product exceeds :data:`RAGGED_BLOCK_MAX` take the serial per-block
-   path wholesale (the second escape): they are dominated by their own
-   GEMM, so fusing buys nothing and the flat pair arrays would only
-   cost memory.
+- FPS: every step is elementwise (subtract, square, add, min) plus a
+  first-tie argmax, and elementwise ops give the same bits however the
+  flat array is sliced; ``(x² + y²) + z²`` accumulates in the order
+  ``.sum(axis=1)`` reduces a length-3 axis.
+- Searches: each block calls :func:`repro.geometry.ops.ball_query` /
+  :func:`repro.geometry.ops.knn_search` on exactly the reference shapes
+  (the block's centres × its search space or candidate set), so the
+  distance form, the distance bits and the selection all match.  Above
+  ``repro.geometry.ops._DIRECT_FORM_MAX`` entries the distances are a
+  GEMM, whose bits depend on the matrix shape — never batch or share
+  distance matrices across blocks.
 
 ``tests/test_batch_parity.py`` holds the proof obligations across all
 partitioners, including exact-duplicate clouds and blocks smaller than
@@ -59,8 +53,8 @@ so :meth:`RaggedBlocks.concatenate` merges the layouts of several clouds
 the owning cloud; ``group_point_offsets`` / ``group_block_offsets``
 delimit each cloud's slice of the fused arrays).
 :class:`repro.runtime.executor.BatchExecutor` uses this to run a whole
-size-bucketed batch of serving clouds through a single kernel invocation
-per pipeline stage; KNN widening consults only the block's own group, so
+size-bucketed batch of serving clouds through one call per pipeline
+stage; KNN widening consults only the block's own group, so
 fusion never leaks candidates across clouds.
 """
 
@@ -72,37 +66,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import ops as exact_ops
-from ..geometry.ops import _DIRECT_FORM_MAX
 from .blocks import BlockStructure
-from .bppo import (
-    BlockWork,
-    OpTrace,
-    _interpolate_from_neighbors,
-    allocate_samples,
-    block_gather,
-)
+from .bppo import BlockWork, OpTrace, allocate_samples
 
 __all__ = [
-    "RAGGED_BLOCK_MAX",
     "RaggedBlocks",
+    "ball_query_on_layout",
+    "fps_on_layout",
+    "knn_on_layout",
     "ragged_of",
     "ragged_fps",
-    "ragged_ball_query",
-    "ragged_knn",
-    "ragged_interpolate",
-    "ragged_gather",
 ]
-
-#: Per-block work-product ceiling (centres × search size) for the fused
-#: flat path; blocks above it run the serial per-block reference inside
-#: the ragged kernels — they are dominated by their own GEMM, and the
-#: flat pair arrays would only cost memory.  Set to 512, deliberately
-#: equal to ``repro.geometry.ops._DIRECT_FORM_MAX``, so every fused
-#: block's distances come out of the one flat elementwise pass (the
-#: per-block ``pairwise_sq_dists`` escape in ``_pair_sq_dists`` stays as
-#: the correctness net if the constants ever drift apart).  It tunes
-#: speed, never semantics: either route is bit-identical.
-RAGGED_BLOCK_MAX = 512
 
 
 def _content_digest(coords: np.ndarray) -> bytes:
@@ -302,32 +276,8 @@ def ragged_of(structure: BlockStructure, coords: np.ndarray) -> RaggedBlocks:
 
 
 # ---------------------------------------------------------------------------
-# Segment primitives
+# Centre grouping
 # ---------------------------------------------------------------------------
-
-
-def _segment_first_argmin(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment flat position of the first minimum (``np.argmin`` rule)."""
-    seg_min = np.minimum.reduceat(values, starts)
-    owner = np.repeat(
-        np.arange(len(starts)), np.diff(np.append(starts, len(values)))
-    )
-    slots = np.arange(len(values))
-    candidates = np.where(values == seg_min[owner], slots, len(values))
-    return np.minimum.reduceat(candidates, starts)
-
-
-def _ragged_arange(counts: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
-    """Concatenation of ``arange(c) + s`` for each count/start pair."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    local = np.arange(total) - np.repeat(ends - counts, counts)
-    if starts is None:
-        return local
-    return local + np.repeat(np.asarray(starts, dtype=np.int64), counts)
 
 
 def _group_centers(
@@ -389,9 +339,8 @@ def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
     # run one coordinate column at a time into preallocated buffers:
     # elementwise subtract/square give identical bits no matter how the
     # flat array is sliced, ``(x² + y²) + z²`` accumulates in exactly the
-    # order ``.sum(axis=1)`` reduces a length-3 axis (see
-    # ``_pair_sq_dists``), and the segment argmax replicates np.argmax's
-    # first-tie rule.
+    # order ``.sum(axis=1)`` reduces a length-3 axis, and the segment
+    # argmax replicates np.argmax's first-tie rule.
     n = rb.num_points
     min_d2, d2, term = np.empty((3, n))
     is_max = np.empty(n, dtype=bool)
@@ -446,103 +395,7 @@ def ragged_fps(
 
 
 # ---------------------------------------------------------------------------
-# Flat pair machinery shared by ball query and KNN
-# ---------------------------------------------------------------------------
-
-
-def _pair_layout(
-    m_counts: np.ndarray, s_counts: np.ndarray, cand_csr_starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the centre-major flat pair space of selected blocks.
-
-    Given per-block centre counts ``m`` and candidate counts ``s``, the
-    pair space enumerates, block by block, every centre's candidates in
-    candidate order (exactly the row-major layout of the reference's
-    per-block ``(m, s)`` distance matrix).  Built from repeats and one
-    ragged arange — no per-pair division.
-
-    Returns ``(center_of_pair, cand_local, cand_flat, pairs_per_center,
-    pair_offsets)``: flat centre row per pair, candidate position within
-    the block's candidate array, candidate position within the CSR
-    candidate-coordinate array (``cand_csr_starts`` maps each selected
-    block to its slice), per-centre pair counts, and per-block pair
-    boundaries.
-    """
-    pair_offsets = np.zeros(len(m_counts) + 1, dtype=np.int64)
-    np.cumsum(m_counts * s_counts, out=pair_offsets[1:])
-    pairs_per_center = np.repeat(s_counts, m_counts)
-    center_of_pair = np.repeat(
-        np.arange(len(pairs_per_center)), pairs_per_center
-    )
-    cand_local = _ragged_arange(pairs_per_center)
-    block_of_center = np.repeat(np.arange(len(m_counts)), m_counts)
-    cand_flat = cand_local + np.repeat(
-        cand_csr_starts[block_of_center], pairs_per_center
-    )
-    return center_of_pair, cand_local, cand_flat, pairs_per_center, pair_offsets
-
-
-def _pair_sq_dists(
-    center_coords: np.ndarray,
-    cand_coords_csr: np.ndarray,
-    cand_csr_starts: np.ndarray,
-    m_counts: np.ndarray,
-    s_counts: np.ndarray,
-    cand_flat: np.ndarray,
-    center_of_pair: np.ndarray,
-    pairs_per_center: np.ndarray,
-    pair_offsets: np.ndarray,
-) -> np.ndarray:
-    """Per-pair squared distances matching the reference bits per block.
-
-    Blocks in the elementwise regime (``m × s <= _DIRECT_FORM_MAX``) are
-    computed in one flat elementwise pass over their pairs, one
-    coordinate column at a time: ``(x² + y²) + z²`` accumulates in
-    exactly the order ``((a - b) ** 2).sum(axis=-1)`` reduces a length-3
-    axis, so the bits equal the reference direct form while the runtime
-    stays on cheap 1-D repeats/gathers instead of ``(P, 3)`` row
-    gathers.  Larger blocks call
-    :func:`repro.geometry.ops.pairwise_sq_dists` on exactly the
-    reference shapes — one compound numpy call per block, the only
-    per-block Python work in the fused path (dead code while
-    ``RAGGED_BLOCK_MAX == _DIRECT_FORM_MAX``, kept as the correctness
-    net should the constants drift).
-    """
-    products = m_counts * s_counts
-    direct = products <= _DIRECT_FORM_MAX
-    if direct.all():
-        d2 = None
-        for axis in range(3):
-            a = np.repeat(
-                np.ascontiguousarray(center_coords[:, axis]), pairs_per_center
-            )
-            a -= np.ascontiguousarray(cand_coords_csr[:, axis])[cand_flat]
-            a *= a
-            d2 = a if d2 is None else d2 + a
-        return d2
-    d2 = np.empty(int(pair_offsets[-1]), dtype=np.float64)
-    pair_block = np.repeat(np.arange(len(m_counts)), m_counts * s_counts)
-    direct_pairs = direct[pair_block]
-    if direct_pairs.any():
-        idx = np.nonzero(direct_pairs)[0]
-        a = center_coords[center_of_pair[idx]]
-        b = cand_coords_csr[cand_flat[idx]]
-        d2[idx] = ((a - b) ** 2).sum(axis=1)
-    m_offsets = np.zeros(len(m_counts) + 1, dtype=np.int64)
-    np.cumsum(m_counts, out=m_offsets[1:])
-    for b in np.nonzero(~direct)[0]:
-        centers_b = center_coords[m_offsets[b]: m_offsets[b + 1]]
-        cands_b = cand_coords_csr[
-            cand_csr_starts[b]: cand_csr_starts[b] + s_counts[b]
-        ]
-        d2[pair_offsets[b]: pair_offsets[b + 1]] = exact_ops.pairwise_sq_dists(
-            centers_b, cands_b
-        ).ravel()
-    return d2
-
-
-# ---------------------------------------------------------------------------
-# Ball query
+# Neighbour searches
 # ---------------------------------------------------------------------------
 
 
@@ -553,7 +406,12 @@ def ball_query_on_layout(
     radius: float,
     num: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ball query over every block of a ragged layout at once.
+    """Ball query over every block of a ragged layout.
+
+    Each populated block calls the reference
+    :func:`repro.geometry.ops.ball_query` once, on its own centres and
+    its CSR search-space slice — exactly the shapes
+    :func:`repro.core.bppo.block_ball_query` uses, so the bits match.
 
     Returns ``(neighbors, center_counts)`` — ``(m, num)`` global indices
     aligned row-for-row with ``center_indices`` plus the per-block centre
@@ -567,118 +425,14 @@ def ball_query_on_layout(
     center_indices = np.asarray(center_indices, dtype=np.int64)
     neighbors = np.empty((len(center_indices), num), dtype=np.int64)
     order, counts, c_offsets = _group_centers(rb, center_indices)
-
-    s_sizes = rb.search_sizes
-    products = counts * s_sizes
-    populated = counts > 0
-    fused_mask = populated & (products <= RAGGED_BLOCK_MAX)
-    # Oversize blocks: dominated by their own GEMM — serial reference path.
-    for b in np.nonzero(populated & ~fused_mask)[0]:
+    for b in np.nonzero(counts)[0]:
         rows = order[c_offsets[b]: c_offsets[b + 1]]
-        space = rb.search_perm[rb.search_offsets[b]: rb.search_offsets[b + 1]]
+        space = slice(rb.search_offsets[b], rb.search_offsets[b + 1])
         local = exact_ops.ball_query(
-            coords[center_indices[rows]],
-            rb.search_coords[rb.search_offsets[b]: rb.search_offsets[b + 1]],
-            radius,
-            num,
+            coords[center_indices[rows]], rb.search_coords[space], radius, num
         )
-        neighbors[rows] = space[local]
-
-    fused = np.nonzero(fused_mask)[0]
-    if len(fused):
-        mm = counts[fused]
-        ss = s_sizes[fused]
-        rows_cat = order[_ragged_arange(mm, c_offsets[fused])]
-        center_coords = coords[center_indices[rows_cat]]
-        starts = rb.search_offsets[fused]
-        center_of_pair, cand_local, cand_flat, pairs_per_center, pair_offsets = (
-            _pair_layout(mm, ss, starts)
-        )
-        d2 = _pair_sq_dists(
-            center_coords, rb.search_coords, starts,
-            mm, ss, cand_flat, center_of_pair, pairs_per_center, pair_offsets,
-        )
-        local = _select_ball_neighbors_flat(
-            d2, cand_local, center_of_pair, pairs_per_center,
-            float(radius) ** 2, num,
-        )
-        block_of_center = np.repeat(fused, mm)
-        neighbors[rows_cat] = rb.search_perm[
-            rb.search_offsets[block_of_center][:, None] + local
-        ]
+        neighbors[rows] = rb.search_perm[space][local]
     return neighbors, counts
-
-
-def _select_ball_neighbors_flat(
-    d2: np.ndarray,
-    cand_local: np.ndarray,
-    center_of_pair: np.ndarray,
-    pairs_per_center: np.ndarray,
-    r2: float,
-    num: int,
-) -> np.ndarray:
-    """PointNet++ neighbour selection over a flat ragged pair space.
-
-    Implements the same decision procedure as
-    ``repro.geometry.ops._select_ball_neighbors`` — in-radius candidates
-    in candidate order, first hit pads short rows, hitless centres fall
-    back to the first nearest candidate — with flat cumulative-sum hit
-    ranking instead of a per-row sort, so the result is bit-identical
-    given identical distance bits.
-    """
-    num_centers = len(pairs_per_center)
-    c_starts = np.zeros(num_centers, dtype=np.int64)
-    np.cumsum(pairs_per_center[:-1], out=c_starts[1:])
-
-    hit = d2 <= r2
-    csum = np.cumsum(hit)
-    before = np.where(c_starts > 0, csum[c_starts - 1], 0)
-    rank = (csum - hit) - np.repeat(before, pairs_per_center)
-    hits_per_center = csum[c_starts + pairs_per_center - 1] - before
-
-    out = np.full((num_centers, num), -1, dtype=np.int64)
-    take = hit & (rank < num)
-    out[center_of_pair[take], rank[take]] = cand_local[take]
-
-    no_hit = hits_per_center == 0
-    first = out[:, 0]
-    if no_hit.any():
-        nearest = cand_local[_segment_first_argmin(d2, c_starts)]
-        first = np.where(no_hit, nearest, first)
-    cols = np.arange(num)
-    return np.where(cols[None, :] < hits_per_center[:, None], out, first[:, None])
-
-
-def ragged_ball_query(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    radius: float,
-    num: int,
-) -> tuple[np.ndarray, OpTrace]:
-    """Ragged :func:`~repro.core.bppo.block_ball_query`: identical output."""
-    rb = ragged_of(structure, coords)
-    neighbors, counts = ball_query_on_layout(
-        rb, coords, center_indices, radius, num
-    )
-    trace = OpTrace(kind="ball_query")
-    search_sizes = rb.search_sizes
-    for block_id, block in enumerate(structure.blocks):
-        trace.blocks.append(
-            BlockWork(
-                block_id=block_id,
-                n_points=len(block),
-                n_search=int(search_sizes[block_id]),
-                n_centers=int(counts[block_id]),
-                n_outputs=int(counts[block_id]) * num,
-            )
-        )
-    return neighbors, trace
-
-
-# ---------------------------------------------------------------------------
-# KNN / interpolation
-# ---------------------------------------------------------------------------
 
 
 def knn_on_layout(
@@ -693,8 +447,9 @@ def knn_on_layout(
     The per-block candidate sets are the CSR compaction of the search
     spaces against the candidate mask; blocks left with fewer than ``k``
     candidates widen to their *group's* full candidate set (the block's
-    own cloud in a fused problem) and run the serial reference path, as
-    does any block above :data:`RAGGED_BLOCK_MAX`.
+    own cloud in a fused problem).  Each populated block then calls the
+    reference :func:`repro.geometry.ops.knn_search` once, on the shapes
+    :func:`repro.core.bppo.block_knn` uses.
 
     Returns ``(neighbors, center_counts, cand_counts, widened)``; the
     last three are per-block arrays for trace construction
@@ -725,149 +480,32 @@ def knn_on_layout(
     order, counts, c_offsets = _group_centers(rb, center_indices)
     neighbors = np.empty((len(center_indices), k), dtype=np.int64)
 
-    # Widened blocks search their group's full candidate set (serial path;
-    # rare for sane thresholds).  Group the candidates only when needed.
-    populated = counts > 0
+    # Widened blocks search their group's full candidate set (rare for
+    # sane thresholds).  Group the candidates only when needed.
+    group_cands: dict[int, np.ndarray] = {}
     if widened.any():
         if rb.num_groups == 1:
             group_cands = {0: candidate_indices}
         else:
             cand_groups = rb.block_group[rb.owner[candidate_indices]]
             group_cands = {
-                g: candidate_indices[cand_groups == g]
+                int(g): candidate_indices[cand_groups == g]
                 for g in np.unique(cand_groups)
             }
-        for b in np.nonzero(widened & populated)[0]:
-            rows = order[c_offsets[b]: c_offsets[b + 1]]
-            cands = group_cands[int(rb.block_group[b])]
-            local = exact_ops.knn_search(
-                coords[center_indices[rows]], coords[cands], k
-            )
-            neighbors[rows] = cands[local]
 
-    products = counts * cand_sizes
-    fused_mask = populated & ~widened & (products <= RAGGED_BLOCK_MAX)
-    for b in np.nonzero(populated & ~widened & ~fused_mask)[0]:
+    for b in np.nonzero(counts)[0]:
         rows = order[c_offsets[b]: c_offsets[b + 1]]
-        cands_b = cand_perm[cand_starts[b]: cand_starts[b + 1]]
-        local = exact_ops.knn_search(
-            coords[center_indices[rows]],
-            cand_coords[cand_starts[b]: cand_starts[b + 1]],
-            k,
-        )
-        neighbors[rows] = cands_b[local]
-
-    fused = np.nonzero(fused_mask)[0]
-    if len(fused):
-        mm = counts[fused]
-        cc = cand_sizes[fused]
-        rows_cat = order[_ragged_arange(mm, c_offsets[fused])]
-        center_coords = coords[center_indices[rows_cat]]
-        starts = cand_starts[fused]
-        center_of_pair, cand_local, cand_flat, pairs_per_center, pair_offsets = (
-            _pair_layout(mm, cc, starts)
-        )
-        d2 = _pair_sq_dists(
-            center_coords, cand_coords, starts,
-            mm, cc, cand_flat, center_of_pair, pairs_per_center, pair_offsets,
-        )
-        local = _select_knn_flat(d2, cand_local, center_of_pair, pairs_per_center, k)
-        block_of_center = np.repeat(fused, mm)
-        neighbors[rows_cat] = cand_perm[
-            cand_starts[block_of_center][:, None] + local
-        ]
+        if widened[b]:
+            cands = group_cands[int(rb.block_group[b])]
+            cands_xyz = coords[cands]
+        else:
+            space = slice(cand_starts[b], cand_starts[b + 1])
+            cands, cands_xyz = cand_perm[space], cand_coords[space]
+        local = exact_ops.knn_search(coords[center_indices[rows]], cands_xyz, k)
+        neighbors[rows] = cands[local]
 
     # Trace counts: widened blocks report their group's candidate count.
     trace_cands = cand_sizes.copy()
-    if widened.any():
-        if rb.num_groups == 1:
-            trace_cands[widened] = len(candidate_indices)
-        else:
-            group_totals = np.bincount(
-                rb.block_group[rb.owner[candidate_indices]],
-                minlength=rb.num_groups,
-            )
-            trace_cands[widened] = group_totals[rb.block_group[widened]]
+    for b in np.nonzero(widened)[0]:
+        trace_cands[b] = len(group_cands.get(int(rb.block_group[b]), ()))
     return neighbors, counts, trace_cands, widened
-
-
-def _select_knn_flat(
-    d2: np.ndarray,
-    cand_local: np.ndarray,
-    center_of_pair: np.ndarray,
-    pairs_per_center: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Top-``k`` by (distance, candidate order) over a flat pair space.
-
-    The pairs scatter into a dense ``(centres, max_width)`` matrix (one
-    vectorised store — the column *is* the local candidate index),
-    padded with ``+inf`` for centres narrower than the widest, and
-    ``repro.geometry.ops._knn_from_dists`` — the one shared top-k rule —
-    picks from it, so the result is bit-identical to the serial
-    reference given identical distance bits.  Every centre must own at
-    least ``k`` pairs (guaranteed: widened blocks never reach this
-    path), so the pad can never be selected.
-    """
-    num_centers = len(pairs_per_center)
-    width = int(pairs_per_center.max()) if num_centers else 0
-    dense = np.full((num_centers, width), np.inf)
-    dense[center_of_pair, cand_local] = d2
-    return exact_ops._knn_from_dists(dense, k)
-
-
-def ragged_knn(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    candidate_indices: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, OpTrace]:
-    """Ragged :func:`~repro.core.bppo.block_knn`: identical neighbours,
-    widening decisions, and trace."""
-    rb = ragged_of(structure, coords)
-    neighbors, counts, cands, widened = knn_on_layout(
-        rb, coords, center_indices, candidate_indices, k
-    )
-    trace = OpTrace(kind="knn")
-    for block_id, block in enumerate(structure.blocks):
-        trace.blocks.append(
-            BlockWork(
-                block_id=block_id,
-                n_points=len(block),
-                n_search=int(cands[block_id]),
-                n_centers=int(counts[block_id]),
-                n_outputs=int(counts[block_id]) * k,
-                widened=bool(widened[block_id]),
-            )
-        )
-    return neighbors, trace
-
-
-def ragged_interpolate(
-    structure: BlockStructure,
-    coords: np.ndarray,
-    center_indices: np.ndarray,
-    candidate_indices: np.ndarray,
-    candidate_features: np.ndarray,
-    k: int = 3,
-) -> tuple[np.ndarray, OpTrace]:
-    """Ragged :func:`~repro.core.bppo.block_interpolate`: bit-identical
-    features (same KNN, same inverse-distance blend)."""
-    candidate_features = np.asarray(candidate_features, dtype=np.float64)
-    if len(candidate_features) != len(candidate_indices):
-        raise ValueError("candidate_features rows must align with candidate_indices")
-    neighbors, trace = ragged_knn(
-        structure, coords, center_indices, candidate_indices, k
-    )
-    trace.kind = "interpolate"
-    features = _interpolate_from_neighbors(
-        structure.num_points, coords, center_indices, candidate_indices,
-        candidate_features, neighbors,
-    )
-    return features, trace
-
-
-#: Gathering is already one fancy-indexing pass: the ragged name is the
-#: serial op, so the kernel registry is complete for every pipeline stage.
-ragged_gather = block_gather

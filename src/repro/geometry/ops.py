@@ -34,16 +34,14 @@ __all__ = [
 ]
 
 
-#: Below this many distance entries the direct ``(a-b)**2`` form is used:
-#: it skips the GEMM and, being purely elementwise, produces bit-identical
-#: values no matter how the problem is sliced or concatenated — the
-#: property the ragged block kernels build on.  Above it, the expanded
-#: GEMM form is faster and memory-lean.  The raw speed crossover sits near
-#: ~150 entries, but the boundary is deliberately at 512 so the entire
-#: mid-size block regime (the ragged kernels' territory, see
-#: :mod:`repro.core.ragged`) stays on the slice-invariant form: a ~4 µs/call
-#: concession on 150–512-entry serial problems buys fusing whole
-#: partitions into one elementwise pass.
+#: Up to this many distance entries the direct ``(a-b)**2`` form is used:
+#: it skips the GEMM and, being purely elementwise, gives the same bits
+#: however the problem is sliced.  Above it, the expanded GEMM form is
+#: faster and memory-lean, but its bits depend on the matrix shape.  The
+#: raw speed crossover sits near ~150 entries; the value is frozen at 512
+#: because it picks the distance form of the *reference* — every block
+#: op, served or serial, calls this function on the same shapes — so
+#: moving it would change reference output bits, not just speed.
 _DIRECT_FORM_MAX = 512
 
 
@@ -286,7 +284,7 @@ def idw_weights(
     """Normalised inverse-squared-distance weights of known neighbours.
 
     The single shared weight computation of every interpolation path —
-    the exact backend, the serial block ops, and the ragged kernels all
+    the exact backend, the serial block ops, and the fused path all
     call this, so identical neighbour indices always yield
     bit-identical weights.  Inputs are coerced to float64 (one dtype
     contract for every caller; mixed-precision inputs used to make the

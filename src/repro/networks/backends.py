@@ -98,11 +98,10 @@ class BlockBackend(PointOpsBackend):
 
     Every operation resolves through the kernel registry of
     :mod:`repro.core.dispatch`.  ``kernel`` picks the implementation:
-    ``"auto"`` (default) lets the cost model choose per call — from
-    *measured* per-block centre counts, since the backend always holds
-    the concrete centre ids — while ``"loop" | "ragged"`` pin one path.
-    The parity suite guarantees bit-identical results, so the choice
-    only affects speed.
+    ``"auto"`` (default) lets FPS pick by its step rule from the
+    measured per-block quotas, while ``"loop" | "ragged"`` pin one path;
+    the searches have one implementation either way.  The parity suite
+    guarantees bit-identical results, so the choice only affects speed.
 
     ``batched`` is the legacy flag of the pre-dispatch API: ``False``
     pins the serial per-block loop, ``True`` (old default) means
@@ -114,11 +113,9 @@ class BlockBackend(PointOpsBackend):
     BPPO traffic.
     """
 
-    #: Distinct partitions whose per-op derived state (measured centre
-    #: bincounts, float64-normalised coords) is memoised at a time.  A
-    #: forward pass touches one partition per level; MSG touches the
-    #: same one once per scale — the quadratic-ish recompute this bound
-    #: exists to kill.
+    #: Distinct partitions whose per-op derived state (float64-normalised
+    #: coords) is memoised at a time.  A forward pass touches one
+    #: partition per level; MSG touches the same one once per scale.
     _SESSION_BOUND = 8
 
     def __init__(
@@ -162,20 +159,6 @@ class BlockBackend(PointOpsBackend):
     def _structure(self, coords: np.ndarray) -> core_blocks.BlockStructure:
         return self._session(coords).structure
 
-    def _measured_counts(
-        self, session: "_StructureSession", center_indices
-    ) -> np.ndarray | None:
-        """Real per-block centre counts — the backend always holds the
-        concrete centre ids, so the cost model never has to estimate.
-        ``None`` when a pinned kernel would never consult the cost model.
-        Memoised per (structure, centre-array) pair: every MSG scale
-        groups the same centres over the same structure, and the
-        bincount over the owner map is pure in both.
-        """
-        if self.kernel != "auto":
-            return None
-        return session.measured_counts(center_indices)
-
     def sample(self, coords: np.ndarray, num_samples: int) -> np.ndarray:
         structure = self._structure(coords)
         quotas = (
@@ -190,11 +173,9 @@ class BlockBackend(PointOpsBackend):
         return indices
 
     def group(self, coords, center_indices, radius, k):
-        session = self._session(coords)
         neighbors, _ = dispatch.run_op(
-            "ball_query", session.structure, coords, center_indices, radius, k,
-            kernel=self.kernel, num_centers=len(center_indices),
-            center_counts=self._measured_counts(session, center_indices),
+            "ball_query", self._structure(coords), coords, center_indices,
+            radius, k, kernel=self.kernel,
         )
         return neighbors
 
@@ -202,9 +183,7 @@ class BlockBackend(PointOpsBackend):
         session = self._session(coords)
         idx, _ = dispatch.run_op(
             "knn", session.structure, coords, center_indices,
-            candidate_indices, k,
-            kernel=self.kernel, num_centers=len(center_indices),
-            center_counts=self._measured_counts(session, center_indices),
+            candidate_indices, k, kernel=self.kernel,
         )
         coords64 = session.coords64(coords)
         weights = exact_ops.idw_weights(coords64[center_indices], coords64[idx])
@@ -216,33 +195,13 @@ class _StructureSession:
 
     Everything here is a pure function of ``(structure, input array)``
     and used to be recomputed on every op — once per MSG scale against
-    the identical structure and centre set.  Entries key on array
-    identity and hold strong references, so ids stay valid while mapped.
+    the identical structure and cloud.  Entries key on array identity
+    and hold strong references, so ids stay valid while mapped.
     """
-
-    _COUNTS_BOUND = 8
 
     def __init__(self, structure: core_blocks.BlockStructure):
         self.structure = structure
-        self._counts: OrderedDict[int, tuple[object, np.ndarray]] = OrderedDict()
         self._coords64: tuple[object, np.ndarray] | None = None
-
-    def measured_counts(self, center_indices) -> np.ndarray:
-        key = id(center_indices)
-        hit = self._counts.get(key)
-        if hit is not None and hit[0] is center_indices:
-            self._counts.move_to_end(key)
-            return hit[1]
-        counts = np.bincount(
-            self.structure.block_of_point()[
-                np.asarray(center_indices, dtype=np.int64)
-            ],
-            minlength=self.structure.num_blocks,
-        )
-        self._counts[key] = (center_indices, counts)
-        while len(self._counts) > self._COUNTS_BOUND:
-            self._counts.popitem(last=False)
-        return counts
 
     def coords64(self, coords: np.ndarray) -> np.ndarray:
         hit = self._coords64

@@ -11,9 +11,9 @@ picks, and schedules clouds across a configurable
 fallback).  Results stream back in submission order together with
 aggregate throughput statistics.
 
-Scheduling granularity is the *cloud*: blocks inside a cloud are already
-executed "in parallel" by the ragged kernels (one vectorized pass over many
-blocks), so the pool only needs to overlap independent clouds — the
+Scheduling granularity is the *cloud*: blocks inside a cloud are handled
+by the block ops themselves (the ragged FPS samples every block in one
+vectorized pass), so the pool only needs to overlap independent clouds — the
 delayed-batching lesson of Mesorasi applied at the request level.  With
 ``fuse=True`` the engine goes one level further and batches *across*
 clouds: near-equal-size clouds bucket into one ragged problem per
@@ -479,48 +479,30 @@ class BatchExecutor:
         feats = coords if features is None else features
         traces: dict[str, OpTrace] = {}
 
-        # Each stage knows exactly how many centres every block will see —
-        # the FPS quotas up front, then a bincount of the sampled centres
-        # over the owner map — so auto dispatch runs on measured per-block
-        # work instead of the population-proportion estimate.  A pinned
-        # kernel never consults the cost model, so skip the bookkeeping.
-        auto = self.kernel == "auto"
+        # The FPS step rule runs on the measured quotas; a pinned kernel
+        # never consults it, so skip the allocation.
         quotas = (
             allocate_samples(structure.block_sizes, num_samples, clamp=True)
-            if auto
+            if self.kernel == "auto"
             else None
         )
         sampled, traces["fps"] = dispatch.run_op(
             "fps", structure, coords, num_samples,
             kernel=self.kernel, num_centers=num_samples, center_counts=quotas,
         )
-        sampled_counts = (
-            np.bincount(
-                structure.block_of_point()[sampled],
-                minlength=structure.num_blocks,
-            )
-            if auto
-            else None
-        )
         neighbors, traces["ball_query"] = dispatch.run_op(
             "ball_query", structure, coords, sampled,
-            pipeline.radius, pipeline.group_size,
-            kernel=self.kernel, num_centers=len(sampled),
-            center_counts=sampled_counts,
+            pipeline.radius, pipeline.group_size, kernel=self.kernel,
         )
         grouped, traces["gather"] = dispatch.run_op(
-            "gather", structure, feats, neighbors, sampled,
-            kernel=self.kernel, num_centers=len(sampled),
-            center_counts=sampled_counts,
+            "gather", structure, feats, neighbors, sampled, kernel=self.kernel,
         )
         interpolated = None
         if pipeline.with_interpolation:
             k = min(pipeline.interpolate_k, len(sampled))
             interpolated, traces["interpolate"] = dispatch.run_op(
                 "interpolate", structure, coords, np.arange(n, dtype=np.int64),
-                sampled, feats[sampled], k,
-                kernel=self.kernel, num_centers=n,
-                center_counts=structure.block_sizes if auto else None,
+                sampled, feats[sampled], k, kernel=self.kernel,
             )
         return CloudResult(
             index=index,
@@ -934,14 +916,14 @@ class BatchExecutor:
         with obs.span("op.fps", kernel="ragged") if traced else obs.NULL_SPAN:
             sampled_f = fps_on_layout(fused, np.concatenate(quotas))
         with (
-            obs.span("op.ball_query", kernel="ragged")
+            obs.span("op.ball_query", kernel="loop")
             if traced
             else obs.NULL_SPAN
         ):
             neighbors_f, ball_counts = ball_query_on_layout(
                 fused, coords_f, sampled_f, pipeline.radius, pipeline.group_size
             )
-        with obs.span("op.gather", kernel="ragged") if traced else obs.NULL_SPAN:
+        with obs.span("op.gather", kernel="loop") if traced else obs.NULL_SPAN:
             grouped_f = exact_ops.gather_features(feats_f, neighbors_f)
         interpolated_f = None
         knn_stats = None
@@ -958,13 +940,13 @@ class BatchExecutor:
             k = k_per_cloud.pop()
             centers_f = np.arange(fused.num_points, dtype=np.int64)
             with (
-                obs.span("op.knn", kernel="ragged") if traced else obs.NULL_SPAN
+                obs.span("op.knn", kernel="loop") if traced else obs.NULL_SPAN
             ):
                 knn_f, knn_counts, knn_cands, widened = knn_on_layout(
                     fused, coords_f, centers_f, sampled_f, k
                 )
             with (
-                obs.span("op.interpolate", kernel="ragged")
+                obs.span("op.interpolate", kernel="loop")
                 if traced
                 else obs.NULL_SPAN
             ):

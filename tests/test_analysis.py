@@ -143,7 +143,7 @@ class TestKernelRules:
     def test_rep001_flags_direct_kernel_calls(self):
         for call in ("block_fps(s, c, 4)",
                      "bppo.block_ball_query(s, c, i, 0.2, 16)",
-                     "ragged.ragged_knn(s, c, cand, ctr, 3)"):
+                     "ragged.ragged_fps(s, c, 64)"):
             assert rules_of(lint(f"{call}\n")) == {"REP001"}, call
 
     def test_rep001_allows_dispatch_and_kernel_homes(self):

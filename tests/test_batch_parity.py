@@ -1,14 +1,16 @@
-"""Parity suite: the batched and ragged execution paths are bit-identical
-to the exact single-cloud references.
+"""Parity suite: the served execution paths are bit-identical to the
+exact single-cloud references.
 
 Four layers of proof obligations, all at index/bit level (``array_equal``,
 never ``allclose``):
 
-1. every ragged CSR kernel (:mod:`repro.core.ragged`) equals its serial
-   ``block_*`` reference across partitioners and cloud shapes (n=1,
-   duplicate points, blocks smaller than the ball-query group size) —
-   on the cloud's own layout and stacked behind another cloud in one
-   concatenated layout, the engine's fused-window form;
+1. every op the served path runs on the ragged CSR layout
+   (:mod:`repro.core.ragged`: the FPS recurrence and the per-block
+   search loops) equals its serial ``block_*`` reference across
+   partitioners and cloud shapes (n=1, duplicate points, blocks smaller
+   than the ball-query group size) — on the cloud's own layout and
+   stacked behind another cloud in one concatenated layout, the engine's
+   fused-window form;
 2. with the ``none`` partitioner (single block) the block ops equal the
    global-search references in :mod:`repro.geometry.ops`;
 3. the :class:`~repro.runtime.executor.BatchExecutor` end-to-end pipeline
@@ -16,7 +18,7 @@ never ``allclose``):
    kernel selection and for whole-cloud fusion (size-bucketed clouds,
    equal-size or mixed, concatenated into one ragged problem per bucket);
 4. kernel dispatch never changes results (see also ``tests/test_dispatch.py``
-   for the boundary-straddling and property cases).
+   for the property cases).
 """
 
 import numpy as np
@@ -91,30 +93,53 @@ def stacked_knn(structure, coords, centers, candidates, k):
         enumerate(zip(counts[mine], cands[mine], widened[mine]))])
 
 
-def stacked_interpolate(structure, coords, centers, candidates, feats, k):
-    neighbors, trace = stacked_knn(structure, coords, centers, candidates, k)
-    return bppo._interpolate_from_neighbors(
-        structure.num_points, coords, centers, candidates, feats, neighbors
-    ), trace
+def served_ball_query(structure, coords, centers, radius, num):
+    """The served ball query on the cloud's own (memoised) layout."""
+    neighbors, _ = ragged.ball_query_on_layout(
+        ragged.ragged_of(structure, coords), coords, centers, radius, num)
+    return neighbors, None
 
 
-#: (label, fps, ball_query, knn, interpolate) — every fast path that must
-#: reproduce the serial ``block_*`` reference bit-for-bit.
+def served_knn(structure, coords, centers, candidates, k):
+    """The served KNN on the cloud's own layout, with its trace counts."""
+    neighbors, counts, cands, widened = ragged.knn_on_layout(
+        ragged.ragged_of(structure, coords), coords, centers, candidates, k)
+    return neighbors, OpTrace("knn", [
+        BlockWork(b, 0, s, c, 0, w) for b, (c, s, w) in
+        enumerate(zip(counts, cands, widened))])
+
+
+def _interpolating(knn):
+    """Interpolation over ``knn``'s neighbours: the blend every path shares."""
+    def interpolate(structure, coords, centers, candidates, feats, k):
+        neighbors, trace = knn(structure, coords, centers, candidates, k)
+        return bppo._interpolate_from_neighbors(
+            structure.num_points, coords, centers, candidates, feats, neighbors
+        ), trace
+    return interpolate
+
+
+stacked_interpolate = _interpolating(stacked_knn)
+served_interpolate = _interpolating(served_knn)
+
+
+#: (label, fps, ball_query, knn, interpolate) — every served path that
+#: must reproduce the serial ``block_*`` reference bit-for-bit.
 FAST_PATHS = (
     ("stacked", stacked_fps, stacked_ball_query, stacked_knn,
      stacked_interpolate),
-    (
-        "ragged",
-        ragged.ragged_fps,
-        ragged.ragged_ball_query,
-        ragged.ragged_knn,
-        ragged.ragged_interpolate,
-    ),
+    ("ragged", ragged.ragged_fps, served_ball_query, served_knn,
+     served_interpolate),
 )
 
 
+def fused_gather(structure, features, neighbors, centers):
+    """The fused window's gather: one fancy-indexing pass."""
+    return exact_ops.gather_features(features, neighbors), None
+
+
 class TestBlockOpParity:
-    """ragged kernels ≡ block_* — alone and stacked with another cloud."""
+    """served ops ≡ block_* — alone and stacked with another cloud."""
 
     @pytest.mark.parametrize("path", FAST_PATHS, ids=lambda p: p[0])
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
@@ -175,7 +200,7 @@ class TestBlockOpParity:
         assert np.array_equal(f_serial, f_fast)  # bit-identical weights
 
     @pytest.mark.parametrize(
-        "gather", [ragged.ragged_gather], ids=["ragged_gather"]
+        "gather", [fused_gather], ids=["ragged_gather"]
     )
     @pytest.mark.parametrize("partitioner", ("kdtree", "none"))
     def test_gather(self, partitioner, gather):
@@ -208,7 +233,7 @@ class TestNonePartitionerMatchesGlobalReference:
         structure = structure_for("none", coords)
         centers = np.arange(n, dtype=np.int64)
         reference = exact_ops.ball_query(coords, coords, 0.4, 8)
-        for ball in (bppo.block_ball_query, ragged.ragged_ball_query):
+        for ball in (bppo.block_ball_query, served_ball_query):
             block, _ = ball(structure, coords, centers, 0.4, 8)
             assert np.array_equal(block, reference)
 
@@ -220,7 +245,7 @@ class TestNonePartitionerMatchesGlobalReference:
         k = min(3, len(candidates))
         reference = candidates[exact_ops.knn_search(coords, coords[candidates], k)]
         centers = np.arange(n, dtype=np.int64)
-        for knn in (bppo.block_knn, ragged.ragged_knn):
+        for knn in (bppo.block_knn, served_knn):
             block, _ = knn(structure, coords, centers, candidates, k)
             assert np.array_equal(block, reference)
 
@@ -234,7 +259,7 @@ class TestNonePartitionerMatchesGlobalReference:
         reference = exact_ops.interpolate_features(
             coords, coords[candidates], feats, k
         )
-        for interp in (bppo.block_interpolate, ragged.ragged_interpolate):
+        for interp in (bppo.block_interpolate, served_interpolate):
             block, _ = interp(
                 structure, coords, np.arange(n, dtype=np.int64),
                 candidates, feats, k,
@@ -386,8 +411,8 @@ class TestMixedSizeFusedParity:
     @pytest.mark.parametrize("partitioner", ("kdtree", "fractal", "uniform", "none"))
     def test_mixed_sizes_match_reference(self, partitioner):
         pipeline = PipelineSpec(radius=0.4, group_size=8)
-        # Sizes straddle 128 and RAGGED_BLOCK_MAX (512), so one batch
-        # spans small, mid-size and oversize clouds.
+        # Sizes straddle 128 and 512 points, so one batch spans small,
+        # mid-size and large clouds.
         sizes = (97, 120, 128, 131, 250, 500, 512, 530)
         clouds = [make_cloud(n, seed=1100 + n, duplicates=(n % 2 == 0))
                   for n in sizes]
@@ -625,5 +650,5 @@ class TestLargeCloudParity:
         fused, _ = ragged.ragged_fps(structure, coords, 5000)
         assert np.array_equal(serial, fused)
         b_serial, _ = bppo.block_ball_query(structure, coords, serial, 0.1, 32)
-        b_fused, _ = ragged.ragged_ball_query(structure, coords, serial, 0.1, 32)
+        b_fused, _ = served_ball_query(structure, coords, serial, 0.1, 32)
         assert np.array_equal(b_serial, b_fused)

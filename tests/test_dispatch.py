@@ -1,12 +1,16 @@
-"""Dispatch-boundary tests: the ragged→loop crossover is pinned.
+"""Dispatch tests: one search implementation, one FPS rule.
 
-``repro.core.dispatch`` resolves every block op to one of two
-bit-identical kernels.  These tests pin the boundary behaviour:
+``repro.core.dispatch`` registers every block op under the kernel names
+``loop`` and ``ragged``.  Only FPS has two implementations, chosen by
+its recurrence-step rule; the searches and gather have one per-block
+implementation under both names.  These tests pin:
 
-- parity on synthetic partitions whose per-block work products sit *just
-  below*, *at*, and *just above* 128 — the small-block regime, where
-  per-block dispatch overhead dominates and auto picks ``ragged``;
-- the cost model's regime choices and the ``REPRO_KERNEL`` override;
+- parity of the served per-block search loops
+  (``ragged.ball_query_on_layout`` / ``knn_on_layout``) with the serial
+  reference on hand-built equal-block partitions, exact duplicates
+  included;
+- the FPS step rule, the one-implementation shortcut that skips the cost
+  model for every other op, and the ``REPRO_KERNEL`` override;
 - hypothesis properties: every choice is a registered kernel, and
   kernel choice never changes indices, for any
   cloud/partitioner/blocksize drawn;
@@ -22,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import bppo, dispatch, ragged
 from repro.core.blocks import Block, BlockStructure, PartitionCost
-from repro.core.ragged import RAGGED_BLOCK_MAX
 from repro.partition import get_partitioner
 from repro.runtime import PartitionCache, clear_caches
 from repro.runtime.cache import clear_all_partition_caches
@@ -47,11 +50,24 @@ def synthetic_structure(block_size: int, num_blocks: int, seed: int = 0):
     return structure, coords
 
 
-class TestStackSmallStraddle:
-    """Parity with per-block products just below / at / just above 128:
-    small blocks, which auto sends to the ragged kernels."""
+def served_ball_query(structure, coords, centers, radius, num):
+    return ragged.ball_query_on_layout(
+        ragged.ragged_of(structure, coords), coords, centers, radius, num
+    )
 
-    # block_size=16 and 7/8/9 centres per block give products 112/128/144.
+
+def served_knn(structure, coords, centers, candidates, k):
+    neighbors, _, _, widened = ragged.knn_on_layout(
+        ragged.ragged_of(structure, coords), coords, centers, candidates, k
+    )
+    return neighbors, widened
+
+
+class TestStackSmallStraddle:
+    """The served search loops on hand-built partitions of 16-point
+    blocks with 7/8/9 centres each: bit-identical to the serial
+    reference, widening decisions included."""
+
     CENTERS_PER_BLOCK = (7, 8, 9)
 
     def _centers(self, structure, per_block):
@@ -64,8 +80,8 @@ class TestStackSmallStraddle:
         structure, coords = synthetic_structure(16, 6, seed=per_block)
         centers = self._centers(structure, per_block)
         serial, _ = bppo.block_ball_query(structure, coords, centers, 0.6, 5)
-        fused, _ = ragged.ragged_ball_query(structure, coords, centers, 0.6, 5)
-        assert np.array_equal(serial, fused)
+        served, _ = served_ball_query(structure, coords, centers, 0.6, 5)
+        assert np.array_equal(serial, served)
 
     @pytest.mark.parametrize("per_block", CENTERS_PER_BLOCK)
     def test_knn_crossover(self, per_block):
@@ -73,23 +89,21 @@ class TestStackSmallStraddle:
         centers = self._centers(structure, per_block)
         candidates = np.arange(0, structure.num_points, 2, dtype=np.int64)
         serial, t_serial = bppo.block_knn(structure, coords, centers, candidates, 3)
-        fused, t_fused = ragged.ragged_knn(structure, coords, centers, candidates, 3)
-        assert np.array_equal(serial, fused)
-        assert [w.widened for w in t_serial.blocks] == [
-            w.widened for w in t_fused.blocks
-        ]
+        served, widened = served_knn(structure, coords, centers, candidates, 3)
+        assert np.array_equal(serial, served)
+        assert [w.widened for w in t_serial.blocks] == list(widened)
 
     def test_duplicates_at_the_boundary(self):
-        """Exact duplicates (tie-breaking stress) exactly at the cutoff."""
+        """Exact duplicates (tie-breaking stress) at product 128."""
         structure, coords = synthetic_structure(16, 4, seed=3)
         coords[8:16] = coords[0:8]  # duplicate within block 0
-        centers = self._centers(structure, 8)  # product == 128
+        centers = self._centers(structure, 8)
         serial, _ = bppo.block_ball_query(structure, coords, centers, 0.5, 4)
-        fused, _ = ragged.ragged_ball_query(structure, coords, centers, 0.5, 4)
-        assert np.array_equal(serial, fused)
+        served, _ = served_ball_query(structure, coords, centers, 0.5, 4)
+        assert np.array_equal(serial, served)
         candidates = np.arange(0, structure.num_points, 2, dtype=np.int64)
         s_knn, _ = bppo.block_knn(structure, coords, centers, candidates, 3)
-        r_knn, _ = ragged.ragged_knn(structure, coords, centers, candidates, 3)
+        r_knn, _ = served_knn(structure, coords, centers, candidates, 3)
         assert np.array_equal(s_knn, r_knn)
 
 
@@ -148,47 +162,10 @@ class TestAutoMatchesTheProbeAtScale:
 class TestCostModel:
     """The auto chooser picks the regime holding the work mass."""
 
-    def test_small_blocks_go_ragged(self):
-        """16-point kdtree leaves with products <= 128: auto picks the
-        ragged kernels, bit-identical to the per-block loop."""
-        coords = np.random.default_rng(8).normal(size=(320, 3))
-        structure = get_partitioner("kdtree", max_points_per_block=16)(coords)
-        centers = np.arange(0, 320, 4)
-        counts = np.bincount(structure.block_of_point()[centers],
-                             minlength=structure.num_blocks)
-        assert (counts * structure.search_sizes).max() <= 128
-        assert dispatch.choose_kernel("ball_query", structure, 80, counts) == "ragged"
-        args = ("ball_query", structure, coords, centers, 0.5, 8)
-        auto, _ = dispatch.run_op(*args, num_centers=80, center_counts=counts)
-        assert np.array_equal(auto, dispatch.run_op(*args, kernel="loop")[0])
-
-    def test_mid_blocks_go_ragged(self):
-        structure, _ = synthetic_structure(32, 10)
-        # ~16 centres per 32-point block → products ≈ 512: mid regime.
-        assert dispatch.choose_kernel("ball_query", structure, 160) == "ragged"
-
-    def test_big_blocks_go_loop(self):
-        structure, _ = synthetic_structure(256, 4)
-        # ~128 centres per 256-point block → products ≈ 32768 > ceiling.
-        assert RAGGED_BLOCK_MAX < 128 * 256
-        assert dispatch.choose_kernel("ball_query", structure, 512) == "loop"
-
-    def test_gather_goes_through_cost_model(self):
-        """Regression: gather was hardcoded to 'loop' with a stale
-        "single implementation" comment despite the registry holding
-        loop and ragged gather entries; it must cost-dispatch like
-        every other op."""
-        small, _ = synthetic_structure(8, 10)
-        assert dispatch.choose_kernel("gather", small, 40) == "ragged"
-        mid, _ = synthetic_structure(32, 10)
-        assert dispatch.choose_kernel("gather", mid, 160) == "ragged"
-        big, _ = synthetic_structure(256, 4)
-        assert dispatch.choose_kernel("gather", big, 512) == "loop"
-
     def test_fps_counts_recurrence_steps_not_work_products(self):
         """FPS has no GEMM regime: big blocks used to send it to the loop
-        (products > RAGGED_BLOCK_MAX) exactly where sharing each step
-        among 64 blocks pays most."""
+        (work products > 512) exactly where sharing each step among 64
+        blocks pays most."""
         big, _ = synthetic_structure(256, 64)
         assert dispatch.choose_kernel("fps", big, 64 * 64) == "ragged"
         small, _ = synthetic_structure(8, 10)
@@ -207,38 +184,37 @@ class TestCostModel:
         assert dispatch.choose_kernel(op, structure, 16) == "loop"
 
     def test_one_implementation_skips_the_cost_model(self, monkeypatch):
-        """Every gather name is the same function; resolving it must not
-        pay the block-stat arithmetic (it cost more than the gather)."""
-        assert len(set(dispatch.KERNELS["gather"].values())) == 1
+        """Every name of a search or gather is the same function;
+        resolving it must not pay the block-stat arithmetic.  FPS, the
+        one op with two implementations, still consults the cost model."""
         structure, _ = synthetic_structure(8, 10)
 
         def boom(*args, **kwargs):
             raise AssertionError("cost model consulted")
 
         monkeypatch.setattr(dispatch, "choose_kernel", boom)
-        name = dispatch.resolve_kernel("gather", structure, 40)
-        assert name in dispatch.KERNELS["gather"]
+        for op in ("ball_query", "knn", "interpolate", "gather"):
+            assert len(set(dispatch.KERNELS[op].values())) == 1, op
+            assert dispatch.resolve_kernel(op, structure, 40) in dispatch.KERNELS[op]
         with pytest.raises(AssertionError, match="consulted"):
-            dispatch.resolve_kernel("ball_query", structure, 40)
+            dispatch.resolve_kernel("fps", structure, 40)
         # Pins and the environment still go through validation.
         assert dispatch.resolve_kernel("gather", structure, 40, "ragged") == "ragged"
         monkeypatch.setenv(dispatch.KERNEL_ENV, "loop")
         assert dispatch.resolve_kernel("gather", structure, 40) == "loop"
 
     def test_measured_center_counts_beat_the_estimate(self):
-        """Skewed measured counts flip the choice the proportional
-        estimate would make: 6 blocks of 16 points, 48 centres.  Spread
-        proportionally (8 per block) every product is 128 → ragged; all
-        measured onto one block the product is 48·16 = 768 → loop."""
+        """Skewed measured FPS quotas flip the choice the proportional
+        estimate would make: 6 blocks of 16 points, 21 samples.  Spread
+        proportionally (3.5 per block) the other blocks outrun the
+        fullest → ragged; measured, one block runs 16 of the 21 steps →
+        loop.  A wrong-shape quota array is refused."""
         structure, _ = synthetic_structure(16, 6)
-        assert dispatch.choose_kernel("ball_query", structure, 48) == "ragged"
-        measured = np.array([48, 0, 0, 0, 0, 0], dtype=np.int64)
-        assert (
-            dispatch.choose_kernel("ball_query", structure, 48, measured)
-            == "loop"
-        )
+        assert dispatch.choose_kernel("fps", structure, 21) == "ragged"
+        measured = np.array([16, 1, 1, 1, 1, 1], dtype=np.int64)
+        assert dispatch.choose_kernel("fps", structure, 21, measured) == "loop"
         with pytest.raises(ValueError, match="center_counts"):
-            dispatch.choose_kernel("ball_query", structure, 48, measured[:3])
+            dispatch.choose_kernel("fps", structure, 21, measured[:3])
 
     def test_explicit_kernel_beats_env(self, monkeypatch):
         """Regression: REPRO_KERNEL used to silently override an explicit
