@@ -8,7 +8,7 @@ least 2x wall-clock throughput.  Measured, not asserted from theory.
 Two batches are measured so the win decomposes honestly:
 
 - ``16 distinct clouds`` — worst case for the engine (every request is
-  new); the gain is the dispatched block kernels alone.  On a multi-core
+  new); the gain is the engine's layout kernels alone.  On a multi-core
   host the worker pool adds real overlap on top; on a single core no
   parallel speedup is available to any configuration.
 - ``16 requests, 6 unique scenes`` — serving-shaped traffic (repeated
@@ -73,7 +73,6 @@ def _engine():
         block_size=BLOCK_SIZE,
         max_workers=WORKERS,
         mode="thread",
-        use_batched_ops=True,
     )
 
 

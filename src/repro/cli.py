@@ -51,7 +51,6 @@ from . import obs
 
 from .analysis import format_table
 from .core.delta import PatchPolicy
-from .core.dispatch import KERNEL_NAMES
 from .datasets import DATASET_NAMES, load_cloud, scale_points
 from .hw import AcceleratorSim, GPUModel, SOTA_CONFIGS
 from .infer import MODEL_NAMES, model_spec
@@ -153,13 +152,11 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
         load_cloud(args.dataset, int(n), args.seed + i).coords
         for i, n in enumerate(sizes)
     ]
-    kernel = "loop" if args.no_batched_ops else args.kernel
     engine = BatchExecutor(
         args.partitioner,
         block_size=args.block_size,
         max_workers=args.workers,
         mode=args.mode,
-        kernel=kernel,
         fuse=args.fuse,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
@@ -181,8 +178,7 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
         ["cloud", "points", "blocks", "samples", "cache", "ms"],
         rows,
         title=f"batch-run: {stats.clouds} clouds on {args.partitioner} "
-              f"({engine.mode}, {engine.max_workers} workers, "
-              f"kernel={engine.kernel}"
+              f"({engine.mode}, {engine.max_workers} workers"
               f"{', fused' if args.fuse else ''})",
     ))
     print(f"  {stats.summary()}")
@@ -276,7 +272,6 @@ def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
     engine_kwargs = dict(
         partitioner=args.partitioner,
         block_size=args.block_size,
-        kernel=args.kernel,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
         delta=args.delta,
@@ -398,7 +393,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         block_size=args.block_size,
         max_workers=args.workers,
         in_flight=args.in_flight if args.in_flight != 0 else None,
-        kernel=args.kernel,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
         delta=args.delta,
@@ -421,7 +415,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serve: window {args.window} clouds / {args.max_wait_ms:.0f} ms "
         f"on {args.partitioner} ({engine.mode}, "
-        f"{engine.max_workers} workers, kernel={engine.kernel}, "
+        f"{engine.max_workers} workers, "
         f"in-flight {engine.in_flight}"
         + (", delta" if args.delta else "")
         + (f", {tenants} tenants" if tenants else "")
@@ -575,14 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-ratio", type=float, default=0.25)
     p.add_argument("--radius", type=float, default=0.2)
     p.add_argument("--group-size", type=int, default=16)
-    p.add_argument("--kernel", choices=KERNEL_NAMES, default="auto",
-                   help="block-op implementation: 'loop' = per-block serial "
-                        "reference (large blocks), 'ragged' = fused CSR "
-                        "segment kernels over every block at once (small "
-                        "and mid-size blocks), 'auto' = cost-model dispatch "
-                        "per call from block statistics; all are "
-                        "bit-identical (an explicit choice here beats "
-                        "REPRO_KERNEL, which only fills in for 'auto')")
     p.add_argument("--fuse", action="store_true",
                    help="size-bucket the batch and fuse each bucket into one "
                         "ragged problem per pipeline stage (mixed sizes "
@@ -596,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-spread", type=int, default=0,
                    help="draw cloud sizes uniformly from points±spread "
                         "instead of a fixed size (ragged serving streams)")
-    p.add_argument("--no-batched-ops", action="store_true",
-                   help="legacy alias for --kernel loop")
     p.set_defaults(func=_cmd_batch_run)
 
     p = sub.add_parser(
@@ -727,10 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitioner", choices=PARTITIONER_NAMES, default="fractal")
     p.add_argument("--block-size", type=int, default=256)
     p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--kernel", choices=KERNEL_NAMES, default="auto",
-                   help="block-op implementation: 'loop' (per-block "
-                        "reference), 'ragged' (fused CSR kernels) or 'auto' "
-                        "(cost-model dispatch); all are bit-identical")
     p.add_argument("--delta", action="store_true",
                    help="streaming-frames delta protocol: serve near-miss "
                         "frames by certificate-verified reuse or "

@@ -8,8 +8,11 @@ is the single place that knows which one to run:
 - :data:`KERNELS` maps ``op name → kernel name → callable``;
 - :func:`choose_kernel` picks a kernel from the partition's block-size
   statistics;
-- :func:`run_op` resolves and executes in one call — the entry point the
-  network backends and the batch executor go through.
+- :func:`run_op` resolves and executes in one call — the entry point of
+  the offline network backend (:class:`repro.networks.backends.
+  BlockBackend`).  The serving engine does not come through here: its
+  fused buckets call the ``*_on_layout`` ops of :mod:`repro.core.ragged`
+  directly.
 
 Only FPS has two implementations: the per-block loop
 (:func:`repro.core.bppo.block_fps`) and the ragged CSR recurrence
@@ -30,7 +33,9 @@ fullest block (``max(quotas)``) with every block riding along.  A
 ragged step (three coordinate columns plus a segment argmax) costs about
 two loop steps, so FPS goes ``ragged`` once the other blocks together
 run more steps than the largest block alone, else ``loop``.  A
-single-block partition leaves nothing to fuse (``loop``).
+single-block partition leaves nothing to fuse (``loop``).  The rule is
+:func:`repro.core.ragged.fps_runs_serial`; ``fps_on_layout`` applies it
+to its own quotas, so the served path follows it too.
 
 Callers that hold the FPS quotas pass them as ``center_counts`` and the
 rule uses them verbatim; otherwise the requested samples are spread
@@ -41,10 +46,10 @@ Overrides
 ---------
 
 Precedence is **explicit argument > environment > auto**: a concrete
-``kernel=`` argument (or ``--kernel`` CLI flag) always wins; the
-environment variable :data:`KERNEL_ENV` (``REPRO_KERNEL``) only fills in
-when the caller left the choice at ``"auto"`` — a benchmarking and
-debugging hook; the cost model decides whatever remains unresolved.
+``kernel=`` argument always wins; the environment variable
+:data:`KERNEL_ENV` (``REPRO_KERNEL``) only fills in when the caller left
+the choice at ``"auto"`` — a benchmarking and debugging hook; the cost
+model decides whatever remains unresolved.
 """
 
 from __future__ import annotations
@@ -142,10 +147,9 @@ def choose_kernel(
     else:
         m = total if num_centers is None else float(num_centers)
         centers_est = m * sizes / total
-    if structure.num_blocks == 1 or op != "fps":
-        return "loop"  # nothing to fuse, or nothing to choose
-    fullest = centers_est.max()
-    return "ragged" if centers_est.sum() - fullest > fullest else "loop"
+    if op != "fps" or ragged.fps_runs_serial(centers_est):
+        return "loop"  # nothing to choose, or the fullest block dominates
+    return "ragged"
 
 
 def resolve_kernel(

@@ -16,7 +16,10 @@ FPS (:func:`fps_on_layout`, and :func:`ragged_fps` over one partition)
 visits **all blocks at once**: one greedy recurrence over the flat
 point array, with ``np.ufunc.reduceat`` segment argmax, streaming the
 layout's coordinate *columns* (``RaggedBlocks.columns``, SoA) through
-preallocated buffers.  The neighbour searches
+preallocated buffers.  When one block's quota dominates
+(:func:`fps_runs_serial`), the recurrence would pay segment reductions
+for little else, so the op runs the reference FPS once per block
+instead.  The neighbour searches
 (:func:`ball_query_on_layout`, :func:`knn_on_layout`) read the CSR search
 spaces but run **one reference call per populated block** — the
 block-parallel point operations of paper §IV-B, each block searching its
@@ -73,6 +76,7 @@ __all__ = [
     "RaggedBlocks",
     "ball_query_on_layout",
     "fps_on_layout",
+    "fps_runs_serial",
     "knn_on_layout",
     "ragged_of",
     "ragged_fps",
@@ -211,10 +215,13 @@ class RaggedBlocks:
         so the fused problem indexes one virtual concatenated cloud;
         ``block_group`` records the source cloud of every block, and
         ``group_point_offsets`` / ``group_block_offsets`` carry the
-        per-cloud boundaries the executor's split-back needs.
+        per-cloud boundaries the executor's split-back needs.  One
+        layout is already its own fusion and comes back unchanged.
         """
         if not layouts:
             raise ValueError("need at least one layout to concatenate")
+        if len(layouts) == 1:
+            return layouts[0]
         point_offsets = np.zeros(len(layouts) + 1, dtype=np.int64)
         np.cumsum([rb.num_points for rb in layouts], out=point_offsets[1:])
         perm = np.concatenate([rb.perm + off for rb, off in zip(layouts, point_offsets)])
@@ -304,6 +311,23 @@ def _group_centers(
 # ---------------------------------------------------------------------------
 
 
+def fps_runs_serial(steps: np.ndarray) -> bool:
+    """The FPS step rule: run the per-block reference, not the recurrence?
+
+    ``steps`` are per-block FPS step counts (the quotas, or an estimate
+    of them).  The per-block loop takes one Python trip per sample of
+    every block (``sum(steps)``); the segment recurrence one trip per
+    sample of the fullest block (``max(steps)``), each costing about two
+    loop trips.  So the loop wins while the fullest block runs at least
+    as many steps as all the others together — always for one block.
+    """
+    steps = np.asarray(steps)
+    if steps.size == 0:
+        return True
+    fullest = steps.max()
+    return bool(steps.sum() - fullest <= fullest)
+
+
 def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
     """Farthest-point-sample every block of a ragged layout at once.
 
@@ -313,7 +337,10 @@ def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
     reductions, then updates the flat min-distance array against each
     block's own new selection (slot ``i`` only ever measures against
     selections of its owning block, so blocks — and fused clouds — remain
-    exactly independent).
+    exactly independent).  When :func:`fps_runs_serial` says the fullest
+    block dominates, each populated block instead calls the reference
+    :func:`repro.geometry.ops.farthest_point_sample` on its own rows of
+    the layout.
 
     Returns global point indices grouped by block in block order, each
     block's picks in selection order — the exact layout of
@@ -325,6 +352,14 @@ def fps_on_layout(rb: RaggedBlocks, quotas: np.ndarray) -> np.ndarray:
     np.cumsum(quotas, out=out_offsets[1:])
     out = np.empty(int(out_offsets[-1]), dtype=np.int64)
     if out.size == 0:
+        return out
+
+    if fps_runs_serial(quotas):
+        coords = rb.coords
+        for b in np.nonzero(quotas)[0]:
+            lo, hi = rb.offsets[b], rb.offsets[b + 1]
+            local = exact_ops.farthest_point_sample(coords[lo:hi], int(quotas[b]))
+            out[out_offsets[b]: out_offsets[b + 1]] = rb.perm[lo + local]
         return out
 
     starts = rb.offsets[:-1]

@@ -130,8 +130,7 @@ class BlockBackend(PointOpsBackend):
         self.partitioner = partitioner
         self.name = partitioner.name
         # Legacy flag maps onto the dispatcher only when no explicit
-        # kernel was chosen — same precedence as BatchExecutor's
-        # use_batched_ops, so the two APIs never disagree.
+        # kernel was chosen.
         if batched is False and kernel == "auto":
             kernel = "loop"
         self.kernel = dispatch.validate_kernel(kernel)

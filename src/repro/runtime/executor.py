@@ -3,23 +3,19 @@
 The functional layers below this one process exactly one cloud at a time;
 this module is the throughput story on top of them: it takes a sequence
 (or generator) of point clouds, partitions each with any registered
-strategy (content-hash cached), runs the block-parallel point-operation
-pipeline — block FPS → ball-query grouping → gathering → KNN
-interpolation — per cloud with the kernels :mod:`repro.core.dispatch`
-picks, and schedules clouds across a configurable
-``concurrent.futures`` worker pool (threads, processes, or a serial
-fallback).  Results stream back in submission order together with
-aggregate throughput statistics.
+strategy (content-hash cached), and runs the block-parallel
+point-operation pipeline — block FPS → ball-query grouping → gathering →
+KNN interpolation, or a whole network forward — through **one body**,
+:meth:`BatchExecutor._execute_fused`.  Near-equal-size clouds bucket
+into one ragged problem per pipeline stage (mixed sizes fuse via
+per-cloud quotas and offset tables); a cloud that fuses with nothing is
+a bucket of one, run by the same body.  Results come back in submission
+order together with aggregate throughput statistics.
 
-Scheduling granularity is the *cloud*: blocks inside a cloud are handled
-by the block ops themselves (the ragged FPS samples every block in one
-vectorized pass), so the pool only needs to overlap independent clouds — the
-delayed-batching lesson of Mesorasi applied at the request level.  With
-``fuse=True`` the engine goes one level further and batches *across*
-clouds: near-equal-size clouds bucket into one ragged problem per
-pipeline stage (mixed sizes fuse via per-cloud quotas and offset
-tables), so heterogeneous serving traffic restructures into a handful of
-uniform kernel invocations.
+The only other scheduling axis is :meth:`BatchExecutor.stream` with a
+worker pool (threads or processes), which overlaps windows of one
+across workers; serving windows (:meth:`BatchExecutor.execute_window`)
+never build a pool.
 
 Everything the engine computes is bit-identical to the serial reference
 path; ``tests/test_batch_parity.py`` holds the proof obligations.
@@ -256,7 +252,7 @@ def _shutdown_pool(pool: Executor) -> None:
 _PROCESS_ENGINE: "BatchExecutor | None" = None
 
 
-def _process_init(partitioner_name: str, block_size: int, kernel: str,
+def _process_init(partitioner_name: str, block_size: int,
                   cache_size: int, delta: bool = False,
                   delta_policy: "PatchPolicy | None" = None) -> None:
     global _PROCESS_ENGINE
@@ -270,7 +266,6 @@ def _process_init(partitioner_name: str, block_size: int, kernel: str,
         partitioner_name,
         block_size=block_size,
         max_workers=1,
-        kernel=kernel,
         cache_size=cache_size,
         delta=delta,
         delta_policy=delta_policy,
@@ -301,12 +296,16 @@ class BatchExecutor:
             consume(result)                             # results stream out
         engine.close()   # joins the persistent worker pool (or use `with`)
 
-    The worker pool is **persistent**: created lazily on the first
-    parallel call, shared by every subsequent ``stream()`` /
-    ``execute_window()``, and joined by :meth:`close` (the engine also
-    works as a context manager).  Serving layers that close a window
-    every few milliseconds reuse one pool instead of churning one per
-    window.
+    Every cloud runs through one fused body: a window's clouds are
+    size-bucketed and each bucket — of many clouds or of one — is one
+    ragged problem per stage.  :meth:`run_cloud` and serial
+    :meth:`stream` are windows of one.
+
+    The worker pool is used only by :meth:`stream` (``max_workers > 1``
+    and ``mode`` thread or process), which overlaps windows of one.  It
+    is **persistent**: created lazily on the first parallel ``stream()``,
+    shared by every later one, and joined by :meth:`close` (the engine
+    also works as a context manager).  Serving windows never build it.
 
     Args:
         partitioner: strategy name from :mod:`repro.partition` or a
@@ -323,10 +322,10 @@ class BatchExecutor:
             GIL in the heavy kernels), ``"process"`` (independent caches,
             full parallelism; requires a partitioner *name*), or
             ``"serial"``.
-        kernel: block-op implementation — ``"auto"`` (default) resolves
-            each op per call through the cost-model dispatcher of
-            :mod:`repro.core.dispatch`; ``"loop" | "ragged"`` pin one
-            path.  Results are bit-identical either way.
+        kernel: accepted and validated against
+            :data:`repro.core.dispatch.KERNEL_NAMES`, but no longer
+            affects the engine: every bucket calls the layout ops of
+            :mod:`repro.core.ragged` directly.
         fuse: default for :meth:`run`'s whole-cloud fusion — clouds of a
             batch are size-bucketed and each bucket is concatenated into
             one ragged problem executed as a single kernel invocation per
@@ -339,10 +338,8 @@ class BatchExecutor:
         fuse_max_spread: largest/smallest cloud-size ratio allowed inside
             one bucket (``None`` = unbounded).  Wildly unlike sizes fuse
             correctly but share little per-stage work shape, so the
-            scheduler prefers splitting them; clouds left alone fall back
-            to the per-cloud pool path.
-        use_batched_ops: legacy boolean equivalent of ``kernel``
-            (``False`` → ``"loop"``); kept for callers of the PR-1 API.
+            scheduler prefers splitting them; a cloud left alone runs as
+            a bucket of one.
         cache_size: LRU capacity of the partition cache.
         reuse_results: deduplicate identical clouds within a stream —
             compute once, replay the result (``CloudResult.reused``).
@@ -376,7 +373,6 @@ class BatchExecutor:
         fuse: bool = False,
         fuse_max_points: int | None = 262_144,
         fuse_max_spread: float | None = 4.0,
-        use_batched_ops: bool = True,
         cache_size: int = 64,
         reuse_results: bool = True,
         reuse_window: int = 32,
@@ -408,8 +404,6 @@ class BatchExecutor:
         self.in_flight = (
             int(in_flight) if in_flight is not None else 2 * self.max_workers
         )
-        if not use_batched_ops and kernel == "auto":
-            kernel = "loop"
         self.kernel = dispatch.validate_kernel(kernel)
         self.fuse = fuse
         if fuse_max_points is not None and fuse_max_points < 1:
@@ -422,7 +416,6 @@ class BatchExecutor:
             )
         self.fuse_max_points = fuse_max_points
         self.fuse_max_spread = fuse_max_spread
-        self.use_batched_ops = use_batched_ops
         self.cache_size = cache_size
         self.reuse_results = reuse_results
         if reuse_window < 0:
@@ -437,10 +430,8 @@ class BatchExecutor:
         self.cache = PartitionCache(
             self.partitioner, maxsize=cache_size, policy=policy
         )
-        # Persistent worker pool: created lazily on first parallel use,
-        # reused by every stream()/execute_window() after that, joined by
-        # close().  The serving layer closes one window every few ms, so
-        # a throwaway pool per window was measurable churn.
+        # Persistent worker pool of parallel stream() calls: created
+        # lazily, reused by every later one, joined by close().
         self._pool: Executor | None = None
         self._pool_lock = threading.Lock()
 
@@ -453,111 +444,8 @@ class BatchExecutor:
         features: np.ndarray | None,
         pipeline: PipelineSpec,
     ) -> CloudResult:
-        """Run the full BPPO pipeline on one cloud."""
-        if obs.enabled():
-            with obs.span("engine.cloud", points=len(coords)) as span:
-                result = self._execute_impl(index, coords, features, pipeline)
-                span.annotate(source=result.partition_source)
-                return result
-        return self._execute_impl(index, coords, features, pipeline)
-
-    def _execute_impl(
-        self,
-        index: int,
-        coords: np.ndarray,
-        features: np.ndarray | None,
-        pipeline: PipelineSpec,
-    ) -> CloudResult:
-        if pipeline.model is not None:
-            return self._execute_model_impl(index, coords, features, pipeline)
-        start = obs.now()
-        n = len(coords)
-        num_samples = pipeline.samples_for(n)
-        structure, source = self.cache.acquire(coords)
-        cache_hit = source == "warm"
-
-        feats = coords if features is None else features
-        traces: dict[str, OpTrace] = {}
-
-        # The FPS step rule runs on the measured quotas; a pinned kernel
-        # never consults it, so skip the allocation.
-        quotas = (
-            allocate_samples(structure.block_sizes, num_samples, clamp=True)
-            if self.kernel == "auto"
-            else None
-        )
-        sampled, traces["fps"] = dispatch.run_op(
-            "fps", structure, coords, num_samples,
-            kernel=self.kernel, num_centers=num_samples, center_counts=quotas,
-        )
-        neighbors, traces["ball_query"] = dispatch.run_op(
-            "ball_query", structure, coords, sampled,
-            pipeline.radius, pipeline.group_size, kernel=self.kernel,
-        )
-        grouped, traces["gather"] = dispatch.run_op(
-            "gather", structure, feats, neighbors, sampled, kernel=self.kernel,
-        )
-        interpolated = None
-        if pipeline.with_interpolation:
-            k = min(pipeline.interpolate_k, len(sampled))
-            interpolated, traces["interpolate"] = dispatch.run_op(
-                "interpolate", structure, coords, np.arange(n, dtype=np.int64),
-                sampled, feats[sampled], k, kernel=self.kernel,
-            )
-        return CloudResult(
-            index=index,
-            num_points=n,
-            num_blocks=structure.num_blocks,
-            cache_hit=cache_hit,
-            seconds=obs.now() - start,
-            sampled=sampled,
-            neighbors=neighbors,
-            grouped=grouped,
-            interpolated=interpolated,
-            traces=traces,
-            partition_source=source,
-        )
-
-    def _execute_model_impl(
-        self,
-        index: int,
-        coords: np.ndarray,
-        features: np.ndarray | None,
-        pipeline: PipelineSpec,
-    ) -> CloudResult:
-        """Run full network inference on one cloud.
-
-        The model's point operations resolve through a backend that
-        shares this engine's partition cache and kernel choice, so every
-        pyramid level's partition is content-cached exactly like raw
-        BPPO traffic (the level-0 acquire below only claims the
-        warm/cold accounting before the backend warm-hits it).
-        """
-        from ..infer import get_model, run_model
-        from ..networks.backends import BlockBackend
-
-        start = obs.now()
-        structure, source = self.cache.acquire(coords)
-        backend = BlockBackend(
-            self.partitioner, kernel=self.kernel, cache=self.cache
-        )
-        output = run_model(
-            get_model(pipeline.model), coords, features, backend,
-            agg=pipeline.agg,
-        )
-        return CloudResult(
-            index=index,
-            num_points=len(coords),
-            num_blocks=structure.num_blocks,
-            cache_hit=source == "warm",
-            seconds=obs.now() - start,
-            sampled=np.zeros(0, dtype=np.int64),
-            neighbors=np.zeros((0, 0), dtype=np.int64),
-            grouped=np.zeros((0, 0, 0)),
-            interpolated=None,
-            partition_source=source,
-            model_output=output,
-        )
+        """One cloud as a window of one (the pool's unit of work)."""
+        return self.execute_window([(index, coords, features)], pipeline)[0][index]
 
     def run_cloud(
         self,
@@ -566,7 +454,8 @@ class BatchExecutor:
         *,
         index: int = 0,
     ) -> CloudResult:
-        """Run the pipeline on a single cloud in the calling thread."""
+        """Run the pipeline on a single cloud in the calling thread, as a
+        window of one."""
         coords, features = _as_cloud(cloud)
         return self._execute(index, coords, features, pipeline or PipelineSpec())
 
@@ -656,8 +545,8 @@ class BatchExecutor:
         every cloud keeps its own sample quota and offset-table slice, so
         ragged serving streams (LiDAR frames, mixed assets) fuse too.
         Results are bit-identical to the unfused path and are returned in
-        submission order; fusion replaces pool scheduling for the fused
-        buckets (the fused kernels *are* the parallelism).
+        submission order; fusion replaces pool scheduling (the fused
+        kernels *are* the parallelism).
         """
         fuse = self.fuse if fuse is None else fuse
         start = obs.now()
@@ -701,12 +590,10 @@ class BatchExecutor:
         the effective KNN ``k`` (tiny clouds whose sample count clamps
         ``interpolate_k`` need their own ``k``).  Within a lane the
         size-bucketing scheduler (:meth:`_fuse_buckets`) packs near-equal
-        clouds under the fuse-group budget; every bucket with at least
-        two distinct members runs through :meth:`_execute_fused`,
-        singletons fall back to the per-cloud path (scheduled across the
-        worker pool when one is configured, so a poorly-fusable batch
-        never loses the pool overlap), and content-identical repeats are
-        replayed exactly like the streaming dedup.
+        clouds under the fuse-group budget; every bucket, a bucket of one
+        included, runs through :meth:`_execute_fused`, and
+        content-identical repeats are replayed exactly like the streaming
+        dedup.
         """
         entries = list(self._keyed(clouds))
         # One batch is one window: within-batch dedup, nothing kept.
@@ -726,12 +613,12 @@ class BatchExecutor:
         and the windowed serving layer (:class:`repro.serve.WindowedServer`).
 
         Items split into fusion lanes, each lane's buckets come from the
-        bin-packing planner, multi-cloud buckets run through
-        :meth:`_execute_fused`, and singletons fall back to the per-cloud
-        path (across the worker pool when one is configured).  Callers own
-        deduplication; every item here is executed.  Returns results keyed
-        by item index plus the :class:`~repro.serve.planner.WindowPlan`
-        counters describing how the window was scheduled.
+        bin-packing planner, and every bucket — of one cloud or many —
+        runs through :meth:`_execute_fused` in the calling thread.
+        Callers own deduplication; every item here is executed.  Returns
+        results keyed by item index plus the
+        :class:`~repro.serve.planner.WindowPlan` counters describing how
+        the window was scheduled.
         """
         lanes: dict[tuple, list] = {}
         for item in items:
@@ -754,7 +641,7 @@ class BatchExecutor:
 
         results: dict[int, CloudResult] = {}
         fused_buckets = 0
-        singletons: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+        singletons: list[int] = []
         with (
             obs.span("engine.window", clouds=len(items))
             if obs.enabled()
@@ -763,30 +650,16 @@ class BatchExecutor:
             for members in lanes.values():
                 for bucket in self._fuse_buckets(members):
                     if len(bucket) == 1:
-                        singletons.append(bucket[0])
+                        singletons.append(bucket[0][0])
                     else:
                         fused_buckets += 1
-                        for result in self._execute_fused(bucket, pipeline):
-                            results[result.index] = result
-            if singletons:
-                if self.mode == "serial" or len(singletons) == 1:
-                    for index, coords, features in singletons:
-                        results[index] = self._execute(
-                            index, coords, features, pipeline
-                        )
-                else:
-                    pool = self._ensure_pool()
-                    futures = [
-                        self._submit(pool, item, pipeline) for item in singletons
-                    ]
-                    for future in futures:
-                        result = future.result()
+                    for result in self._execute_fused(bucket, pipeline):
                         results[result.index] = result
         plan = WindowPlan(
             buckets=fused_buckets,
             fused_clouds=len(items) - len(singletons),
             singleton_clouds=len(singletons),
-            singleton_indices=tuple(sorted(index for index, _, _ in singletons)),
+            singleton_indices=tuple(sorted(singletons)),
         )
         return results, plan
 
@@ -830,8 +703,8 @@ class BatchExecutor:
         The fused forward (:func:`repro.infer.run_fused`) shares one
         FPS/ball-query structure pass per pyramid level across every
         cloud of the group while the row-wise network math runs over
-        the concatenated feature rows — bit-identical to the per-cloud
-        model path.
+        the concatenated feature rows — bit-identical to
+        :func:`repro.infer.run_offline` on each cloud alone.
         """
         from ..infer import run_fused
 
@@ -1032,18 +905,17 @@ class BatchExecutor:
 
     @property
     def pool(self) -> Executor | None:
-        """The persistent worker pool (``None`` until first parallel use,
-        and again after :meth:`close`)."""
+        """The persistent worker pool (``None`` until the first parallel
+        :meth:`stream`, and again after :meth:`close`)."""
         return self._pool
 
     def _ensure_pool(self) -> Executor:
         """Return the persistent pool, creating it on first use.
 
-        The pool outlives individual streams and windows: the windowed
-        serving layer closes a window every few milliseconds and a fresh
-        pool per window (threads spawned, joined, discarded) was pure
-        overhead.  :meth:`close` joins it; a closed engine lazily builds
-        a fresh pool if it is used again.
+        The pool outlives individual streams, so repeated ``stream()``
+        calls do not spawn and join workers each time.  :meth:`close`
+        joins it; a closed engine lazily builds a fresh pool if it is
+        used again.
         """
         with self._pool_lock:
             if self._pool is None:
@@ -1082,7 +954,6 @@ class BatchExecutor:
                 initargs=(
                     self.partitioner_name,
                     self.block_size,
-                    self.kernel,
                     self.cache_size,
                     self.delta,
                     self.cache.policy,

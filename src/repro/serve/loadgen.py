@@ -18,9 +18,8 @@ Three traffic profiles stress different scheduler surfaces:
   over half the fusion budget (no two share a bucket under
   ``max_points ≈ adversary_points``) interleaved with "dwarfs" whose
   size ratio to the giants exceeds ``adversary_spread`` (no bucket can
-  legally hold both) — best-fit-decreasing strands nearly everything as
-  singleton fallbacks, the worst case the planner and the persistent
-  pool must absorb;
+  legally hold both) — best-fit-decreasing strands nearly everything in
+  buckets of one, the worst case the planner must absorb;
 - ``frames`` — one simulated sensor: each frame is the previous frame
   with every point nudged inside a ball of radius ``frame_motion``
   (bounded per-point displacement, so a delta policy with

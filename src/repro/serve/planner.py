@@ -13,7 +13,7 @@ fusion feasibility constraints —
 PR 3 shipped a greedy first-fit pass in ascending size order
 (:func:`first_fit_buckets`, kept as the baseline); its failure mode is
 closing a bucket as soon as one cloud does not fit, stranding clouds that
-a later bucket could have hosted as singleton fallbacks.
+a later bucket could have hosted as buckets of one.
 :func:`plan_buckets` replaces it with classic **best-fit-decreasing**:
 clouds are placed largest-first, each into the feasible open bucket it
 fills tightest, so large clouds anchor buckets early and small clouds
@@ -48,7 +48,7 @@ def cloud_points(member) -> int:
 
 
 def singleton_count(buckets: Sequence[Sequence]) -> int:
-    """Number of one-cloud buckets in a plan (the fallback-path clouds)."""
+    """Number of one-cloud buckets in a plan (clouds fused with nothing)."""
     return sum(1 for bucket in buckets if len(bucket) == 1)
 
 
@@ -57,10 +57,11 @@ class WindowPlan:
     """Plan counters for one executed window (telemetry food).
 
     ``fused_clouds`` ran inside a multi-cloud fused bucket;
-    ``singleton_clouds`` fell back to the per-cloud path; ``buckets``
-    counts the multi-cloud fused invocations.  ``singleton_indices``
-    names the fallback clouds by their window item index so multi-tenant
-    telemetry can attribute the split per tenant.
+    ``singleton_clouds`` ran in buckets of one (the same fused body, with
+    nothing to fuse with); ``buckets`` counts the multi-cloud fused
+    invocations.  ``singleton_indices`` names the buckets-of-one clouds
+    by their window item index so multi-tenant telemetry can attribute
+    the split per tenant.
     """
 
     buckets: int = 0
@@ -169,7 +170,7 @@ def plan_buckets(
     Every member lands in exactly one bucket.  A bucket with two or more
     members always respects both caps; a member that alone exceeds
     ``max_points`` still gets a bucket of its own (it must run somewhere,
-    and the per-cloud fallback handles any size).  The best-fit plan is
+    and a bucket of one handles any size).  The best-fit plan is
     compared against :func:`first_fit_buckets` and the one stranding
     fewer singletons wins (ties prefer best-fit, which packs tighter) —
     so the planner is never worse than the greedy pass it replaced, by

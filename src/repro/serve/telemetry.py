@@ -82,7 +82,7 @@ class ServeReport:
     @property
     def fused_ratio(self) -> float:
         """Fraction of distinct (non-reused) clouds served from a fused
-        bucket rather than the per-cloud fallback."""
+        bucket rather than a bucket of one."""
         distinct = self.fused_clouds + self.singleton_clouds
         return self.fused_clouds / distinct if distinct else 0.0
 

@@ -15,7 +15,7 @@ The pieces:
   own pipeline config, its own dedup window
   (:class:`~repro.runtime.cache.ResultWindow`) and its own telemetry;
   only the :class:`~repro.runtime.executor.BatchExecutor` (and its
-  persistent worker pool) is shared.
+  partition cache) is shared.
 - :class:`DeficitRoundRobin` — cost-aware admission (cost = points, the
   unit the kernels actually bill in).  Classic DRR with one serving
   guarantee bolted on: a tenant with queued work is **never passed over
@@ -297,7 +297,7 @@ class MultiTenantServer:
     touches a thread.
 
     Args:
-        engine: the shared :class:`BatchExecutor`; its persistent pool,
+        engine: the shared :class:`BatchExecutor`; its partition cache,
             fusion caps, and ``reuse_results`` switch apply to every
             tenant.
         tenants: :class:`TenantSpec`\\ s (or bare names) declaring the
@@ -612,7 +612,7 @@ class MultiTenantServer:
                             on_stats(line)
 
     def close(self) -> None:
-        """Join the shared engine's persistent worker pool."""
+        """Close the shared engine (joins its worker pool, if any)."""
         self.engine.close()
 
     def __enter__(self) -> "MultiTenantServer":

@@ -109,9 +109,10 @@ class WindowedServer:
         telemetry: a :class:`ServeTelemetry` to record into; one is
             created (sized to the window) when omitted.
 
-    The server closes like the engine it wraps: :meth:`close` joins the
-    engine's persistent worker pool (also available as a context
-    manager).
+    The server closes like the engine it wraps: :meth:`close` calls
+    :meth:`BatchExecutor.close`, which joins the worker pool a parallel
+    ``engine.stream()`` may have built (serving windows never build one;
+    also available as a context manager).
     """
 
     def __init__(
@@ -128,7 +129,7 @@ class WindowedServer:
         )
 
     def close(self) -> None:
-        """Join the engine's persistent worker pool."""
+        """Close the engine (joins its worker pool, if any)."""
         self.engine.close()
 
     def __enter__(self) -> "WindowedServer":

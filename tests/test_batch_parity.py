@@ -25,11 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import bppo, ragged
+import repro.infer
+from repro.core import bppo, dispatch, ragged
 from repro.core.bppo import BlockWork, OpTrace
 from repro.geometry import ops as exact_ops
+from repro.infer import MODEL_NAMES, run_offline
 from repro.partition import get_partitioner
 from repro.runtime import BatchExecutor, PipelineSpec
+from repro.serve import MultiTenantServer, TenantSpec, WindowConfig, WindowedServer
 
 PARTITIONERS = ("octree", "kdtree", "uniform", "none", "fractal", "morton")
 CLOUD_SIZES = (1, 2, 7, 33, 257)
@@ -636,6 +639,110 @@ class TestColumnFormFps:
         assert layout.columns.shape == (3, 50)
         assert layout.columns.flags.c_contiguous
         assert np.array_equal(layout.coords, coords[layout.perm])
+
+
+class TestServedPathsSkipTheDispatcher:
+    """Every served entry point runs the fused body, buckets of one
+    included: none reaches ``dispatch.run_op`` or the per-cloud
+    ``run_model`` forward."""
+
+    PIPELINES = (
+        PipelineSpec(radius=0.4, group_size=8),
+        PipelineSpec(model="pointnet2-cls"),
+    )
+
+    @pytest.fixture(autouse=True)
+    def no_dispatch(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a served path reached the dispatcher")
+
+        monkeypatch.setattr(dispatch, "run_op", boom)
+        monkeypatch.setattr(repro.infer, "run_model", boom)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=("bppo", "model"))
+    def test_singleton_windows(self, pipeline):
+        # Pairwise spread > 1.01: nothing fuses, every bucket is of one.
+        clouds = [make_cloud(n, seed=6000 + n) for n in (40, 90, 150)]
+        with BatchExecutor(
+            "kdtree", block_size=16, max_workers=1, fuse_max_spread=1.01
+        ) as engine:
+            served = [engine.run_cloud(clouds[0], pipeline)]
+            served += engine.stream(clouds, pipeline)
+            served += engine.run(clouds, pipeline).results
+            served += engine.run(clouds, pipeline, fuse=True).results
+            window = WindowedServer(engine, WindowConfig(max_clouds=1))
+            served += window.serve(iter(clouds), pipeline)
+            tenants = MultiTenantServer(
+                engine, [TenantSpec("a", pipeline), TenantSpec("b", pipeline)]
+            )
+            served += [
+                r.result
+                for r in tenants.serve(
+                    [("a", clouds[0]), ("b", clouds[1]), ("a", clouds[2])]
+                )
+            ]
+        assert len(served) == 16
+
+
+class TestRunCloudIsTheSerialReference:
+    """The benchmark harness checks served bits against
+    ``BatchExecutor(mode="serial", kernel="loop").run_cloud``, which runs
+    the fused body as a window of one.  Pin it to the reference: the
+    ``dispatch.run_op(..., kernel="loop")`` chain for BPPO, traces
+    included, and ``run_offline`` for the models."""
+
+    @staticmethod
+    def reference(engine, coords, pipeline):
+        structure = get_partitioner(
+            engine.partitioner_name, max_points_per_block=engine.block_size
+        )(coords)
+        traces = {}
+        sampled, traces["fps"] = dispatch.run_op(
+            "fps", structure, coords, pipeline.samples_for(len(coords)),
+            kernel="loop",
+        )
+        neighbors, traces["ball_query"] = dispatch.run_op(
+            "ball_query", structure, coords, sampled, pipeline.radius,
+            pipeline.group_size, kernel="loop",
+        )
+        grouped, traces["gather"] = dispatch.run_op(
+            "gather", structure, coords, neighbors, sampled, kernel="loop",
+        )
+        interpolated, traces["interpolate"] = dispatch.run_op(
+            "interpolate", structure, coords,
+            np.arange(len(coords), dtype=np.int64), sampled, coords[sampled],
+            min(pipeline.interpolate_k, len(sampled)), kernel="loop",
+        )
+        return (sampled, neighbors, grouped, interpolated), traces
+
+    @pytest.mark.parametrize("block_size", (16, 256))
+    @pytest.mark.parametrize("partitioner", ("fractal", "kdtree", "none"))
+    @pytest.mark.parametrize("n", (1, 2, 64, 300))
+    def test_bppo(self, n, partitioner, block_size):
+        coords = make_cloud(n, seed=6100 + n, duplicates=True)
+        pipeline = PipelineSpec()
+        with BatchExecutor(
+            partitioner, block_size=block_size, mode="serial", kernel="loop",
+            reuse_results=False,
+        ) as engine:
+            served = engine.run_cloud(coords, pipeline)
+            arrays, traces = self.reference(engine, coords, pipeline)
+        for want, got in zip(arrays, (served.sampled, served.neighbors,
+                                      served.grouped, served.interpolated)):
+            assert want.dtype == got.dtype and want.shape == got.shape
+            assert want.tobytes() == got.tobytes()
+        assert served.traces == traces
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_models(self, name):
+        coords = make_cloud(130, seed=6200)
+        with BatchExecutor(
+            "fractal", mode="serial", kernel="loop", reuse_results=False
+        ) as engine:
+            served = engine.run_cloud(coords, PipelineSpec(model=name))
+        want = run_offline(name, coords)
+        assert want.dtype == served.model_output.dtype
+        assert want.tobytes() == served.model_output.tobytes()
 
 
 @pytest.mark.slow

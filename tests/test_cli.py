@@ -72,8 +72,7 @@ class TestCommands:
     def test_batch_run_serial_mode(self, capsys):
         rc = main(["batch-run", "--dataset", "modelnet40", "--clouds", "2",
                    "--points", "128", "--partitioner", "uniform",
-                   "--block-size", "32", "--workers", "1", "--mode", "serial",
-                   "--no-batched-ops"])
+                   "--block-size", "32", "--workers", "1", "--mode", "serial"])
         assert rc == 0
         assert "uniform" in capsys.readouterr().out
 

@@ -19,6 +19,7 @@ implementation under both names.  These tests pin:
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import bppo, dispatch, ragged
 from repro.core.blocks import Block, BlockStructure, PartitionCost
+from repro.geometry import ops as exact_ops
 from repro.partition import get_partitioner
 from repro.runtime import PartitionCache, clear_caches
 from repro.runtime.cache import clear_all_partition_caches
@@ -265,6 +267,84 @@ class TestCostModel:
             dispatch.run_op("sort", structure, coords, 4)
         with pytest.raises(ValueError, match="kernel"):
             dispatch.run_op("fps", structure, coords, 4, kernel="vectorised")
+
+
+@st.composite
+def fps_problems(draw):
+    """Block sizes and a sample budget: one block, one dominant block,
+    equal blocks or a free mix; a sparse budget (fewer samples than
+    blocks) leaves some quotas at zero."""
+    shape = draw(st.sampled_from(("one", "dominant", "equal", "mixed")))
+    if shape == "one":
+        sizes = [draw(st.integers(1, 200))]
+    elif shape == "dominant":
+        sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+        sizes.insert(
+            draw(st.integers(0, len(sizes))),
+            draw(st.integers(sum(sizes) + 1, 300)),
+        )
+    elif shape == "equal":
+        sizes = [draw(st.integers(1, 40))] * draw(st.integers(2, 8))
+    else:
+        sizes = draw(st.lists(st.integers(1, 80), min_size=2, max_size=8))
+    if draw(st.booleans()) and len(sizes) > 1:
+        num_samples = draw(st.integers(1, len(sizes) - 1))
+    else:
+        num_samples = draw(st.integers(1, sum(sizes)))
+    return sizes, num_samples, draw(st.integers(0, 1000))
+
+
+class TestFpsRuleInsideTheOp:
+    """``fps_on_layout`` applies the FPS step rule to its own quotas:
+    when the fullest block dominates it runs the reference FPS once per
+    populated block, else the segment recurrence — and ``choose_kernel``
+    reads the same rule."""
+
+    def test_rule_boundaries(self):
+        assert ragged.fps_runs_serial(np.array([], dtype=np.int64))
+        assert ragged.fps_runs_serial(np.array([7]))
+        assert ragged.fps_runs_serial(np.array([0, 0, 0]))
+        assert ragged.fps_runs_serial(np.array([3, 3]))  # tie: serial
+        assert ragged.fps_runs_serial(np.array([4, 0, 2, 2]))
+        assert not ragged.fps_runs_serial(np.array([3, 2, 2]))
+
+    def test_one_layout_concatenates_to_itself(self):
+        structure, coords = synthetic_structure(8, 3)
+        layout = ragged.RaggedBlocks.from_structure(structure, coords)
+        assert ragged.RaggedBlocks.concatenate([layout]) is layout
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=fps_problems())
+    def test_branch_follows_the_rule_and_matches_block_fps(self, problem):
+        sizes, num_samples, seed = problem
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        coords = rng.normal(size=(n, 3))
+        coords[n // 2:] = coords[: n - n // 2]  # exact duplicates: ties
+        ids = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        blocks = [Block(np.asarray(b, dtype=np.int64)) for b in ids]
+        structure = BlockStructure(
+            n, blocks, [b.indices.copy() for b in blocks], PartitionCost()
+        )
+        expected, _ = bppo.block_fps(structure, coords, num_samples)
+        quotas = bppo.allocate_samples(structure.block_sizes, num_samples, clamp=True)
+        layout = ragged.RaggedBlocks.from_structure(structure, coords)
+        with mock.patch.object(
+            exact_ops, "farthest_point_sample",
+            side_effect=exact_ops.farthest_point_sample,
+        ) as reference:
+            picked = ragged.fps_on_layout(layout, quotas)
+        assert picked.dtype == expected.dtype
+        assert picked.tobytes() == expected.tobytes()
+
+        serial = reference.call_count > 0
+        assert serial == ragged.fps_runs_serial(quotas)
+        if serial:
+            assert reference.call_count == np.count_nonzero(quotas)
+        if len(sizes) == 1:
+            assert reference.call_count == 1
+        choice = dispatch.choose_kernel("fps", structure, center_counts=quotas)
+        assert choice == ("loop" if serial else "ragged")
 
 
 class TestDispatchNeverChangesIndices:

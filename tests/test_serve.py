@@ -565,15 +565,16 @@ class TestLoadgen:
 
 
 class TestPersistentPool:
-    """The ROADMAP churn fix: one pool per engine, not one per window.
+    """One pool per engine, used only by parallel ``stream()`` calls.
 
-    The singleton fallback of every window and every ``stream()`` call
-    must reuse the same server-owned pool; ``close()`` joins it.
+    Serving windows run every bucket — buckets of one included — through
+    the fused body in the calling thread, so they never build a pool;
+    ``stream()`` calls reuse one persistent pool and ``close()`` joins it.
     """
 
     def unfusable(self, count, seed):
-        # Pairwise spread > 1.01 so nothing fuses and every window takes
-        # the singleton fallback (the old per-window-pool path).
+        # Pairwise spread > 1.01 so nothing fuses and every window is
+        # made of buckets of one.
         return [make_cloud(30 * (i + 1), seed=seed + i) for i in range(count)]
 
     def test_pool_identity_across_windows(self):
@@ -581,15 +582,19 @@ class TestPersistentPool:
             "kdtree", block_size=16, max_workers=2, reuse_results=False,
             fuse_max_spread=1.01,
         )
-        assert engine.pool is None  # lazy: nothing parallel ran yet
         server = WindowedServer(engine, WindowConfig(max_clouds=2))
-        pools = []
         for start in (0, 2, 4):
             clouds = self.unfusable(2, seed=5000 + start)
             list(server.serve(iter(clouds), TestWindowedServeParity.PIPELINE))
+            assert engine.pool is None  # windows of one never go parallel
+        pools = []
+        for start in (6, 8, 10):
+            list(engine.stream(self.unfusable(2, seed=5000 + start)))
             pools.append(engine.pool)
         assert pools[0] is not None
         assert pools[1] is pools[0] and pools[2] is pools[0]
+        server.close()
+        assert engine.pool is None
 
     def test_stream_and_windows_share_one_pool(self):
         engine = BatchExecutor(
@@ -643,8 +648,12 @@ class TestPersistentPool:
         with WindowedServer(engine, WindowConfig(max_clouds=2)) as server:
             clouds = self.unfusable(2, seed=5700)
             list(server.serve(iter(clouds), TestWindowedServeParity.PIPELINE))
-            assert engine.pool is not None
+            list(engine.stream(self.unfusable(2, seed=5800)))
+            pool = engine.pool
+            assert pool is not None
         assert engine.pool is None
+        with pytest.raises(RuntimeError):  # joined: takes no more work
+            pool.submit(int)
 
 
 class TestLoadgenProfiles:

@@ -515,21 +515,25 @@ class TestStreamingCloseRule:
 
 class TestPersistentPoolSharing:
     def test_one_pool_across_rounds_and_tenants(self):
-        """The shared engine's pool is created once and reused by every
-        window round of every tenant (the ROADMAP churn fix, seen from
-        the tenancy layer)."""
+        """Window rounds of every tenant run buckets of one in the
+        calling thread and never build the shared engine's pool; the
+        pool parallel ``stream()`` calls build is created once, reused,
+        and joined by the server's close."""
         engine = BatchExecutor(
             "kdtree", block_size=16, max_workers=2, reuse_results=False,
-            fuse_max_spread=1.01,  # nothing fuses -> singleton pool path
+            fuse_max_spread=1.01,  # nothing fuses -> buckets of one
         )
         server = MultiTenantServer(engine, ["a", "b"])
         rng = np.random.default_rng(17)
-        pools = []
         for r in range(3):
             server.submit("a", rng.normal(size=(30, 3)), arrived=float(r))
             server.submit("a", rng.normal(size=(60, 3)), arrived=float(r))
             server.submit("b", rng.normal(size=(90, 3)), arrived=float(r))
             server.drain(now=r + 0.5)
+            assert engine.pool is None
+        pools = []
+        for _ in range(3):
+            list(engine.stream(rng.normal(size=(n, 3)) for n in (30, 60)))
             pools.append(engine.pool)
         assert pools[0] is not None
         assert all(pool is pools[0] for pool in pools)
