@@ -63,7 +63,7 @@ def _disabled_site_cost() -> float:
 
 def run_bench():
     clouds = list(generate(SPEC))
-    engine = BatchExecutor("kdtree", block_size=32, max_workers=4)
+    engine = BatchExecutor("kdtree", block_size=32)
 
     def serve_once():
         server = WindowedServer(engine, WINDOW)

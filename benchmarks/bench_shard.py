@@ -63,7 +63,7 @@ def run_hot_lane(rows):
     )
 
     def run_single():
-        engine = BatchExecutor(mode="serial", max_workers=1, **engine_kwargs)
+        engine = BatchExecutor(**engine_kwargs)
         with WindowedServer(engine, WindowConfig(max_clouds=16,
                                                  max_wait=0.005)) as server:
             return list(server.serve(iter(stream)))

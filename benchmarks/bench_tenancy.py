@@ -40,7 +40,6 @@ pytestmark = pytest.mark.slow
 
 PIPELINE = PipelineSpec(sample_ratio=0.25, radius=0.25, group_size=16)
 BLOCK = 32
-WORKERS = 4
 
 
 def make_hot_asset_mix(tenants=3, catalog=30, per_tenant=60, seed=0):
@@ -87,7 +86,7 @@ def bench_shared_vs_isolated(rows):
     window = WindowConfig(max_clouds=24, max_wait=0.25)
 
     def run_shared():
-        engine = BatchExecutor("kdtree", block_size=BLOCK, max_workers=WORKERS)
+        engine = BatchExecutor("kdtree", block_size=BLOCK)
         with MultiTenantServer(
             engine, [TenantSpec(name, PIPELINE) for name in streams],
             window=window, share_results=True,
@@ -100,9 +99,7 @@ def bench_shared_vs_isolated(rows):
         out = {}
 
         def serve_one(name):
-            engine = BatchExecutor(
-                "kdtree", block_size=BLOCK, max_workers=WORKERS
-            )
+            engine = BatchExecutor("kdtree", block_size=BLOCK)
             with WindowedServer(engine, window) as server:
                 out[name] = list(server.serve(iter(streams[name]), PIPELINE))
 
@@ -131,7 +128,7 @@ def bench_shared_vs_isolated(rows):
 
     total = len(pairs)
     speedup = t_isolated / t_shared
-    rows.append(["3-tenant hot assets", f"isolated x3 ({WORKERS} thr each)",
+    rows.append(["3-tenant hot assets", "isolated x3 (own engine each)",
                  f"{t_isolated * 1e3:.0f}", f"{total / t_isolated:.0f}", "1.00x"])
     rows.append(["3-tenant hot assets", "shared fused engine",
                  f"{t_shared * 1e3:.0f}", f"{total / t_shared:.0f}",
@@ -167,8 +164,7 @@ def bench_fairness(rows):
 
     def run_shared():
         engine = BatchExecutor(
-            "kdtree", block_size=BLOCK, max_workers=WORKERS,
-            reuse_results=False, in_flight=64,
+            "kdtree", block_size=BLOCK, reuse_results=False, in_flight=64,
         )
         with MultiTenantServer(
             engine,
@@ -183,10 +179,7 @@ def bench_fairness(rows):
             )
 
     def run_lone_trickle():
-        engine = BatchExecutor(
-            "kdtree", block_size=BLOCK, max_workers=WORKERS,
-            reuse_results=False,
-        )
+        engine = BatchExecutor("kdtree", block_size=BLOCK, reuse_results=False)
         with MultiTenantServer(
             engine, [TenantSpec("trickle", PIPELINE)],
             window=WindowConfig(max_clouds=16, max_wait=0.01),

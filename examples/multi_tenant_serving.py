@@ -14,8 +14,8 @@ the :class:`~repro.serve.tenancy.MultiTenantServer`:
 - the shared window is **work-conserving**: it closes when full, when
   the source goes quiet, or at ``max_wait`` — an idle engine never waits
   for company that is not coming;
-- the engine's worker pool is **persistent** — created once, shared by
-  every window, joined by ``close()``.
+- the engine is serial and runs every window in the serving thread; for
+  more cores, put several engines behind ``repro serve --shards N``.
 
 Every tenant's results are bit-identical to running its stream alone,
 in its own submission order.
@@ -52,8 +52,7 @@ def main() -> None:
                    weight=2.0),  # latency-sensitive: double DRR credit
     ]
 
-    engine = BatchExecutor("fractal", block_size=64, max_workers=4,
-                           fuse_max_spread=4.0)
+    engine = BatchExecutor("fractal", block_size=64, fuse_max_spread=4.0)
     server = MultiTenantServer(
         engine, tenants,
         window=WindowConfig(max_clouds=24, max_wait=0.02),

@@ -72,13 +72,13 @@ def main() -> None:
           f"(values identical to global gathering by construction)")
 
     # 6. Many clouds at once: the batched execution engine runs the whole
-    # FPS → group → gather → interpolate pipeline per cloud, schedules
-    # clouds across a worker pool, and deduplicates identical requests
+    # FPS → group → gather → interpolate pipeline per cloud, caches
+    # partitions by content, and deduplicates identical requests
     # (the repeated cloud below is computed only once and replayed).
     batch = [sample_shape(shape, 2048, rng)
              for shape in ("torus", "sphere", "cube", "cylinder")]
     batch.append(batch[0])  # duplicate request → result reuse
-    with BatchExecutor("fractal", block_size=64, max_workers=4) as engine:
+    with BatchExecutor("fractal", block_size=64) as engine:
         report = engine.run(batch, PipelineSpec(radius=radius, group_size=16))
     stats = report.stats
     print(f"\nbatched engine: {stats.clouds} clouds in "

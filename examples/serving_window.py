@@ -35,7 +35,7 @@ def main() -> None:
     telemetry = ServeTelemetry(window_capacity=window.max_clouds, every=2)
     pipeline = PipelineSpec(sample_ratio=0.25, radius=0.3, group_size=16)
 
-    with BatchExecutor("fractal", block_size=64, max_workers=4,
+    with BatchExecutor("fractal", block_size=64,
                        fuse_max_spread=4.0) as engine:
         with WindowedServer(engine, window, telemetry=telemetry) as server:
             print(f"serving {traffic.clouds} clouds "
@@ -55,7 +55,6 @@ def main() -> None:
 
         # The same engine, same traffic, offline: run(fuse=True) is the
         # batch-mode ceiling the windowed path trades a latency bound for.
-        # (close() is idempotent; the engine rebuilds its pool on demand.)
         offline = engine.run(list(generate(traffic)), pipeline, fuse=True)
         print(f"\noffline ceiling (run(fuse=True) over the same "
               f"{served} clouds):")

@@ -9,8 +9,8 @@ both block-wise FPS and DGCNN-style block-local graph construction
 
 The frames are then replayed through the batched
 :class:`~repro.runtime.executor.BatchExecutor` — the serving-side engine
-that overlaps whole frames across a worker pool and deduplicates repeated
-frames through its content-hash partition cache.
+that pulls frames with backpressure and deduplicates repeated frames
+through its content-hash partition cache.
 
 Run:  python examples/streaming_lidar.py
 """
@@ -78,7 +78,7 @@ def main() -> None:
 
     # Streaming the same sensor through the batched execution engine:
     # frames arrive as a generator, the engine pulls them with
-    # backpressure, overlaps them across workers, and a stalled scene
+    # backpressure, and a stalled scene
     # (identical frame re-sent) is deduplicated — computed once,
     # replayed for every repeat.
     def frames():
@@ -86,14 +86,13 @@ def main() -> None:
             yield lidar_scan(N_POINTS // 2, seed=f % FRAMES).coords
     pipeline = PipelineSpec(sample_ratio=0.25, radius=0.3, group_size=16,
                             with_interpolation=False)
-    with BatchExecutor("fractal", block_size=256, max_workers=4) as engine:
+    with BatchExecutor("fractal", block_size=256) as engine:
         report = engine.run(frames(), pipeline)
     stats = report.stats
     print(f"\nbatched engine over the stream: {stats.clouds} frames at "
           f"{stats.clouds_per_second:.1f} frames/s "
           f"({stats.points_per_second / 1e6:.2f}M points/s), "
-          f"{stats.reused} repeated frames deduplicated, "
-          f"{stats.speedup_over_busy:.2f}x worker overlap")
+          f"{stats.reused} repeated frames deduplicated")
 
     # Dynamic graph on the final frame (DGCNN adaptation).
     structure, _ = updater.structure()

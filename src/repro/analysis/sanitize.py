@@ -5,8 +5,8 @@ Loaded for the whole suite via ``-p repro.analysis.sanitize`` (see
 concurrency/resource surface and fails the test if anything new is
 still alive once the test *and its fixtures* have torn down:
 
-- **threads** — pool workers, serve pullers, shard sender threads;
-- **child processes** — engine shards, process-pool workers;
+- **threads** — serve pullers, shard sender threads;
+- **child processes** — engine shards;
 - **/dev/shm segments** — shared-memory arenas that were never unlinked.
 
 This promotes PR 7's ad-hoc "no leaked shm" assertions into a
@@ -15,9 +15,9 @@ it, which is exactly the REP004 contract checked statically by
 ``repro lint``.  The static rule catches resources that provably never
 escape; this plugin catches the laundered ones at runtime.
 
-Engines dropped without ``close()`` release their pools through a GC
-finalizer, so the leak check runs ``gc.collect()`` inside its grace loop
-before declaring a leak — tests are required to *release* resources, not
+Objects dropped without ``close()`` may release their resources from a
+GC finalizer, so the leak check runs ``gc.collect()`` inside its grace
+loop before declaring a leak — tests are required to *release* resources, not
 to micromanage collection.  Genuinely stuck threads, live children, and
 still-linked segments survive the grace period and fail the test.
 
@@ -47,7 +47,7 @@ __all__ = [
 
 #: How long a test's stragglers get to finish dying before we call leak.
 #: Puller/sender threads exit within one 50 ms poll of their stop event;
-#: pool shutdown(wait=False) finalizers need a GC pass plus a moment.
+#: GC-driven finalizers need a collection pass plus a moment.
 GRACE_SECONDS = 2.0
 
 _SHM_DIR = "/dev/shm"

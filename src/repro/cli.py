@@ -155,8 +155,6 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
     engine = BatchExecutor(
         args.partitioner,
         block_size=args.block_size,
-        max_workers=args.workers,
-        mode=args.mode,
         fuse=args.fuse,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
@@ -177,9 +175,8 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
     print(format_table(
         ["cloud", "points", "blocks", "samples", "cache", "ms"],
         rows,
-        title=f"batch-run: {stats.clouds} clouds on {args.partitioner} "
-              f"({engine.mode}, {engine.max_workers} workers"
-              f"{', fused' if args.fuse else ''})",
+        title=f"batch-run: {stats.clouds} clouds on {args.partitioner}"
+              f"{' (fused)' if args.fuse else ''}",
     ))
     print(f"  {stats.summary()}")
     return 0
@@ -391,7 +388,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = BatchExecutor(
         args.partitioner,
         block_size=args.block_size,
-        max_workers=args.workers,
         in_flight=args.in_flight if args.in_flight != 0 else None,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
@@ -414,9 +410,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serve: window {args.window} clouds / {args.max_wait_ms:.0f} ms "
-        f"on {args.partitioner} ({engine.mode}, "
-        f"{engine.max_workers} workers, "
-        f"in-flight {engine.in_flight}"
+        f"on {args.partitioner} (in-flight {engine.in_flight}"
         + (", delta" if args.delta else "")
         + (f", {tenants} tenants" if tenants else "")
         + (f", model {','.join(models)} [{args.agg}]" if models else "")
@@ -564,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partitioner", choices=PARTITIONER_NAMES, default="fractal")
     p.add_argument("--block-size", type=int, default=256)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--mode", choices=["thread", "process", "serial"], default="thread")
     p.add_argument("--sample-ratio", type=float, default=0.25)
     p.add_argument("--radius", type=float, default=0.2)
     p.add_argument("--group-size", type=int, default=16)
@@ -693,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker; overflow degrades to inline transport)")
     p.add_argument("--in-flight", type=int, default=0,
                    help="backpressure bound on pulled-but-unserved clouds "
-                        "(0 = engine default, 2 x workers; with --shards, "
+                        "(0 = engine default, 8; with --shards, "
                         "4 x shards)")
     p.add_argument("--stats-every", type=int, default=10,
                    help="print a telemetry line every N windows (0 = off)")
@@ -710,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "serving counters/gauges/histograms at exit")
     p.add_argument("--partitioner", choices=PARTITIONER_NAMES, default="fractal")
     p.add_argument("--block-size", type=int, default=256)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--delta", action="store_true",
                    help="streaming-frames delta protocol: serve near-miss "
                         "frames by certificate-verified reuse or "

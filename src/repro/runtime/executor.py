@@ -12,10 +12,11 @@ per-cloud quotas and offset tables); a cloud that fuses with nothing is
 a bucket of one, run by the same body.  Results come back in submission
 order together with aggregate throughput statistics.
 
-The only other scheduling axis is :meth:`BatchExecutor.stream` with a
-worker pool (threads or processes), which overlaps windows of one
-across workers; serving windows (:meth:`BatchExecutor.execute_window`)
-never build a pool.
+The engine is serial: everything runs in the calling thread.  Its
+parallelism is inside each point operation (block-parallel over the
+partition's blocks and fused over a window's clouds), not across
+requests.  Multi-core serving means more engines in more processes —
+:class:`repro.shard.ShardRouter` (``repro serve --shards N``).
 
 Everything the engine computes is bit-identical to the serial reference
 path; ``tests/test_batch_parity.py`` holds the proof obligations.
@@ -23,12 +24,7 @@ path; ``tests/test_batch_parity.py`` holds the proof obligations.
 
 from __future__ import annotations
 
-import os
-import threading
-import weakref
-from collections import OrderedDict, deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +43,7 @@ from ..geometry import ops as exact_ops
 from ..obs import latency_percentiles
 from ..partition.base import Partitioner, get_partitioner
 from ..serve.planner import WindowPlan, plan_buckets
-from .cache import PartitionCache, ResultWindow, replayed, result_key
+from .cache import PartitionCache, ResultWindow, result_key
 
 __all__ = [
     "PipelineSpec",
@@ -152,7 +148,6 @@ class ExecutorStats:
     clouds: int = 0
     points: int = 0
     wall_seconds: float = 0.0
-    busy_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     reused: int = 0
@@ -176,11 +171,6 @@ class ExecutorStats:
     def points_per_second(self) -> float:
         return self.points / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    @property
-    def speedup_over_busy(self) -> float:
-        """Overlap achieved by the pool: per-cloud work time / wall time."""
-        return self.busy_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
     def summary(self) -> str:
         """One line with the numbers an operator looks at first."""
         return (
@@ -189,13 +179,12 @@ class ExecutorStats:
             f"latency p50/p95/p99 {self.latency_p50 * 1e3:.2f}/"
             f"{self.latency_p95 * 1e3:.2f}/{self.latency_p99 * 1e3:.2f} ms | "
             f"cache {self.cache_hits}/{self.clouds} hits, "
-            f"{self.reused} reused | "
+            f"{self.reused} reused"
             + (
-                f"partitions {self.cold} cold, {self.patched} patched | "
+                f" | partitions {self.cold} cold, {self.patched} patched"
                 if self.patched
                 else ""
             )
-            + f"overlap {self.speedup_over_busy:.2f}x"
         )
 
 
@@ -238,44 +227,9 @@ def _as_cloud(item: object) -> tuple[np.ndarray, np.ndarray | None]:
     return coords, features
 
 
-# -- process-mode plumbing ---------------------------------------------------
-# Each worker process builds its own serial engine once (fork inherits the
-# parent's modules, so this is cheap) and reuses it for every task; the
-# parent only ships (index, coords, features, pipeline) per cloud.
-
-def _shutdown_pool(pool: Executor) -> None:
-    """GC finalizer for engines dropped without :meth:`BatchExecutor.
-    close` — non-blocking so collection never stalls on workers."""
-    pool.shutdown(wait=False)
-
-
-_PROCESS_ENGINE: "BatchExecutor | None" = None
-
-
-def _process_init(partitioner_name: str, block_size: int,
-                  cache_size: int, delta: bool = False,
-                  delta_policy: "PatchPolicy | None" = None) -> None:
-    global _PROCESS_ENGINE
-    # A forked pool child inherits the parent's tracer but nothing ever
-    # drains it here (the shard workers are the traced multi-process
-    # path); disable so inherited spans don't accumulate.
-    obs.configure(trace=False, metrics=False)
-    # Serial (max_workers=1): never builds a pool, lives exactly as long
-    # as its worker process — there is nothing to release.
-    _PROCESS_ENGINE = BatchExecutor(  # repro: ignore[REP004]
-        partitioner_name,
-        block_size=block_size,
-        max_workers=1,
-        cache_size=cache_size,
-        delta=delta,
-        delta_policy=delta_policy,
-    )
-
-
-def _process_run(args: tuple) -> CloudResult:
-    index, coords, features, pipeline = args
-    assert _PROCESS_ENGINE is not None
-    return _PROCESS_ENGINE._execute(index, coords, features, pipeline)
+#: Default :attr:`BatchExecutor.in_flight`, the serving layers'
+#: puller-queue capacity.
+DEFAULT_IN_FLIGHT = 8
 
 
 class BatchExecutor:
@@ -285,7 +239,7 @@ class BatchExecutor:
 
         from repro.runtime import BatchExecutor, PipelineSpec
 
-        engine = BatchExecutor("fractal", block_size=128, max_workers=4)
+        engine = BatchExecutor("fractal", block_size=128)
         report = engine.run(clouds, PipelineSpec(radius=0.3, group_size=16))
         for result in report.results:          # submission order
             use(result.sampled, result.neighbors, result.interpolated)
@@ -294,34 +248,30 @@ class BatchExecutor:
 
         for result in engine.stream(sensor_frames()):   # generator in,
             consume(result)                             # results stream out
-        engine.close()   # joins the persistent worker pool (or use `with`)
 
-    Every cloud runs through one fused body: a window's clouds are
-    size-bucketed and each bucket — of many clouds or of one — is one
-    ragged problem per stage.  :meth:`run_cloud` and serial
-    :meth:`stream` are windows of one.
-
-    The worker pool is used only by :meth:`stream` (``max_workers > 1``
-    and ``mode`` thread or process), which overlaps windows of one.  It
-    is **persistent**: created lazily on the first parallel ``stream()``,
-    shared by every later one, and joined by :meth:`close` (the engine
-    also works as a context manager).  Serving windows never build it.
+    Every cloud runs through one fused body in the calling thread: a
+    window's clouds are size-bucketed and each bucket — of many clouds
+    or of one — is one ragged problem per stage.  :meth:`run_cloud` and
+    :meth:`stream` are windows of one.  There is no worker pool; for
+    multi-core serving put several engines behind
+    :class:`repro.shard.ShardRouter` (``repro serve --shards N``).
 
     Args:
         partitioner: strategy name from :mod:`repro.partition` or a
             ready :class:`Partitioner` instance.
         block_size: partition threshold (``th`` / BS) when constructing
             from a name.
-        max_workers: worker count; ``1`` (or ``mode="serial"``) runs the
-            serial fallback with no pool.  Defaults to ``min(4, cpus)``.
-        in_flight: backpressure bound — how many clouds :meth:`stream`
-            keeps in flight (and the serving layer's puller-queue
-            capacity) before the source is stalled.  Defaults to
-            ``2 × max_workers``.
-        mode: ``"thread"`` (shared partition cache, numpy releases the
-            GIL in the heavy kernels), ``"process"`` (independent caches,
-            full parallelism; requires a partitioner *name*), or
-            ``"serial"``.
+        max_workers: must be ``None`` or ``1``; anything else raises
+            ``ValueError`` pointing at the shard router.
+        in_flight: backpressure bound — the serving layers' puller-queue
+            capacity, i.e. how many clouds are pulled from the source
+            ahead of execution before it is stalled.  Defaults to
+            :data:`DEFAULT_IN_FLIGHT` (8).
+        mode: must be ``"serial"`` (the default); anything else raises
+            ``ValueError`` pointing at the shard router.  ``mode`` and
+            ``max_workers`` remain only because the serving benchmark
+            (``benchmarks/perf``) still passes them; they go with
+            ``kernel`` when that benchmark next changes.
         kernel: accepted and validated against
             :data:`repro.core.dispatch.KERNEL_NAMES`, but no longer
             affects the engine: every bucket calls the layout ops of
@@ -368,7 +318,7 @@ class BatchExecutor:
         block_size: int = 256,
         max_workers: int | None = None,
         in_flight: int | None = None,
-        mode: str = "thread",
+        mode: str = "serial",
         kernel: str = "auto",
         fuse: bool = False,
         fuse_max_points: int | None = 262_144,
@@ -379,30 +329,26 @@ class BatchExecutor:
         delta: bool = False,
         delta_policy: PatchPolicy | None = None,
     ):
-        if mode not in ("thread", "process", "serial"):
-            raise ValueError(f"mode must be thread|process|serial, got {mode!r}")
+        if mode != "serial" or max_workers not in (None, 1):
+            raise ValueError(
+                f"BatchExecutor is one serial engine (got mode={mode!r}, "
+                f"max_workers={max_workers!r}); for multi-core serving run "
+                "several engines behind repro.shard.ShardRouter "
+                "(`repro serve --shards N`)"
+            )
         if isinstance(partitioner, Partitioner):
             self.partitioner = partitioner
             self.partitioner_name = partitioner.name
-            self._from_name = False
         else:
             self.partitioner = get_partitioner(
                 partitioner, max_points_per_block=block_size
             )
             self.partitioner_name = partitioner
-            self._from_name = True
-        if mode == "process" and not self._from_name:
-            raise ValueError(
-                "process mode needs a partitioner name (instances do not "
-                "cross process boundaries); pass e.g. partitioner='kdtree'"
-            )
         self.block_size = block_size
-        self.max_workers = max_workers if max_workers else min(4, os.cpu_count() or 1)
-        self.mode = "serial" if self.max_workers <= 1 else mode
         if in_flight is not None and in_flight < 1:
             raise ValueError(f"in_flight must be >= 1 or None, got {in_flight}")
         self.in_flight = (
-            int(in_flight) if in_flight is not None else 2 * self.max_workers
+            int(in_flight) if in_flight is not None else DEFAULT_IN_FLIGHT
         )
         self.kernel = dispatch.validate_kernel(kernel)
         self.fuse = fuse
@@ -430,10 +376,6 @@ class BatchExecutor:
         self.cache = PartitionCache(
             self.partitioner, maxsize=cache_size, policy=policy
         )
-        # Persistent worker pool of parallel stream() calls: created
-        # lazily, reused by every later one, joined by close().
-        self._pool: Executor | None = None
-        self._pool_lock = threading.Lock()
 
     # -- single-cloud pipeline ----------------------------------------------
 
@@ -444,7 +386,7 @@ class BatchExecutor:
         features: np.ndarray | None,
         pipeline: PipelineSpec,
     ) -> CloudResult:
-        """One cloud as a window of one (the pool's unit of work)."""
+        """One cloud as a window of one."""
         return self.execute_window([(index, coords, features)], pipeline)[0][index]
 
     def run_cloud(
@@ -469,9 +411,8 @@ class BatchExecutor:
         """Yield one :class:`CloudResult` per cloud, in submission order.
 
         ``clouds`` may be any iterable — including an unbounded generator:
-        at most ``in_flight`` clouds (default ``2 × max_workers``) are in
-        flight at a time, so the engine pulls from the source at the rate
-        it can process (simple backpressure for sensor streams).
+        each cloud runs as a window of one before the next is pulled, so
+        the engine reads the source at the rate it can process.
 
         When ``reuse_results`` is on, a cloud whose (coords, features)
         content already appeared among the last ``reuse_window`` distinct
@@ -481,43 +422,14 @@ class BatchExecutor:
         serving traffic).
         """
         pipeline = pipeline or PipelineSpec()
-        if self.mode == "serial":
-            # Every cloud is a window of one.
-            done = ResultWindow(self.reuse_window)
-            for entry in self._keyed(clouds):
-                split = done.split([entry])
-                results = {
-                    index: self._execute(index, coords, features, pipeline)
-                    for index, coords, features in split.uniques
-                }
-                yield done.complete(results, split)[entry[0]]
-            return
-
-        pool = self._ensure_pool()
-        pending: deque = deque()
-        in_flight: OrderedDict = OrderedDict()
-        window = self.in_flight
-
-        def drain_one() -> CloudResult:
-            index, future, is_replay = pending.popleft()
-            result = future.result()
-            return replayed(result, index) if is_replay else result
-
-        for index, coords, features, key in self._keyed(clouds):
-            if key is not None and key in in_flight:
-                in_flight.move_to_end(key)
-                pending.append((index, in_flight[key], True))
-            else:
-                future = self._submit(pool, (index, coords, features), pipeline)
-                if key is not None:
-                    in_flight[key] = future
-                    while len(in_flight) > self.reuse_window:
-                        in_flight.popitem(last=False)
-                pending.append((index, future, False))
-            while len(pending) >= window:
-                yield drain_one()
-        while pending:
-            yield drain_one()
+        done = ResultWindow(self.reuse_window)
+        for entry in self._keyed(clouds):
+            split = done.split([entry])
+            results = {
+                index: self._execute(index, coords, features, pipeline)
+                for index, coords, features in split.uniques
+            }
+            yield done.complete(results, split)[entry[0]]
 
     def _keyed(self, clouds: Iterable[object]) -> Iterator[tuple]:
         """Normalise a batch into ``(index, coords, features, key)``
@@ -545,8 +457,7 @@ class BatchExecutor:
         every cloud keeps its own sample quota and offset-table slice, so
         ragged serving streams (LiDAR frames, mixed assets) fuse too.
         Results are bit-identical to the unfused path and are returned in
-        submission order; fusion replaces pool scheduling (the fused
-        kernels *are* the parallelism).
+        submission order.
         """
         fuse = self.fuse if fuse is None else fuse
         start = obs.now()
@@ -560,7 +471,6 @@ class BatchExecutor:
             clouds=len(results),
             points=sum(r.num_points for r in results),
             wall_seconds=wall,
-            busy_seconds=sum(r.seconds for r in results),
             cache_hits=sum(1 for r in results if r.cache_hit and not r.reused),
             cache_misses=sum(1 for r in results if not r.cache_hit),
             reused=sum(1 for r in results if r.reused),
@@ -901,71 +811,12 @@ class BatchExecutor:
             )
         return trace
 
-    # -- pool plumbing -------------------------------------------------------
-
-    @property
-    def pool(self) -> Executor | None:
-        """The persistent worker pool (``None`` until the first parallel
-        :meth:`stream`, and again after :meth:`close`)."""
-        return self._pool
-
-    def _ensure_pool(self) -> Executor:
-        """Return the persistent pool, creating it on first use.
-
-        The pool outlives individual streams, so repeated ``stream()``
-        calls do not spawn and join workers each time.  :meth:`close`
-        joins it; a closed engine lazily builds a fresh pool if it is
-        used again.
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-                # Engines dropped without close() (loops over configs,
-                # REPL use) must not accumulate idle workers: shut the
-                # pool down when the engine is collected.  close() first
-                # is fine — shutdown is idempotent.
-                weakref.finalize(self, _shutdown_pool, self._pool)
-            return self._pool
-
     def close(self) -> None:
-        """Join and discard the persistent worker pool (idempotent).
-
-        Safe to call on an engine that never went parallel.  The engine
-        stays usable afterwards — the next parallel call builds a new
-        pool — but long-lived servers should call this exactly once, at
-        shutdown, so worker threads/processes do not linger.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """No-op: the serial engine holds no workers.  Kept so existing
+        ``with BatchExecutor(...)`` / ``close()`` callers keep working."""
 
     def __enter__(self) -> "BatchExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _make_pool(self) -> Executor:
-        if self.mode == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_process_init,
-                initargs=(
-                    self.partitioner_name,
-                    self.block_size,
-                    self.cache_size,
-                    self.delta,
-                    self.cache.policy,
-                ),
-            )
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-batch",
-        )
-
-    def _submit(self, pool: Executor, task: tuple, pipeline: PipelineSpec):
-        index, coords, features = task
-        if self.mode == "process":
-            return pool.submit(_process_run, (index, coords, features, pipeline))
-        return pool.submit(self._execute, index, coords, features, pipeline)

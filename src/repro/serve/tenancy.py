@@ -2,7 +2,7 @@
 
 PR 4's :class:`~repro.serve.window.WindowedServer` serves exactly one
 stream; the north-star traffic is many concurrent clients sharing one
-machine.  The naive fix — one server (and one engine, and one pool) per
+machine.  The naive fix — one server (and one engine) per
 client — forfeits the two things sharing is for: **cross-tenant fusion**
 (compatible clouds from different clients packed into one ragged kernel
 invocation, so nobody's half-empty window wastes the amortisation) and
@@ -281,7 +281,7 @@ class MultiTenantServer:
 
     Usage::
 
-        engine = BatchExecutor("fractal", block_size=64, max_workers=4)
+        engine = BatchExecutor("fractal", block_size=64)
         server = MultiTenantServer(
             engine,
             [TenantSpec("lidar", PipelineSpec(radius=0.3)),
@@ -612,7 +612,7 @@ class MultiTenantServer:
                             on_stats(line)
 
     def close(self) -> None:
-        """Close the shared engine (joins its worker pool, if any)."""
+        """Close the shared engine."""
         self.engine.close()
 
     def __enter__(self) -> "MultiTenantServer":

@@ -109,10 +109,9 @@ class WindowedServer:
         telemetry: a :class:`ServeTelemetry` to record into; one is
             created (sized to the window) when omitted.
 
-    The server closes like the engine it wraps: :meth:`close` calls
-    :meth:`BatchExecutor.close`, which joins the worker pool a parallel
-    ``engine.stream()`` may have built (serving windows never build one;
-    also available as a context manager).
+    :meth:`close` (also available as a context manager) calls
+    :meth:`BatchExecutor.close`; each :meth:`serve` releases its own
+    puller thread.
     """
 
     def __init__(
@@ -129,7 +128,7 @@ class WindowedServer:
         )
 
     def close(self) -> None:
-        """Close the engine (joins its worker pool, if any)."""
+        """Close the engine."""
         self.engine.close()
 
     def __enter__(self) -> "WindowedServer":

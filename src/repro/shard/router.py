@@ -130,8 +130,8 @@ class ShardRouter:
         engine: keyword arguments for each shard's private
             :class:`~repro.runtime.executor.BatchExecutor` (the
             partitioner **name**, block size, cache and dedup sizing,
-            delta flags — anything but ``mode``/``max_workers``, which
-            are forced serial inside the worker).
+            delta flags).  Each engine is serial; the shards are the
+            parallelism.
         pipeline: the :class:`PipelineSpec` every shard runs.
         transport: ``"shm"`` (shared-memory arenas, control-only pipes)
             or ``"pickle"`` (arrays inline through the pipes — the
@@ -175,8 +175,6 @@ class ShardRouter:
                 f"affinity must be auto|content|stream, got {affinity!r}"
             )
         self.engine_kwargs = dict(engine or {})
-        self.engine_kwargs.pop("mode", None)
-        self.engine_kwargs.pop("max_workers", None)
         self.pipeline = pipeline or PipelineSpec()
         self.transport = transport
         self.affinity = (

@@ -104,7 +104,7 @@ def shard_main(
         obs.configure(**obs_config)
     else:
         obs.configure(trace=False, metrics=False)
-    engine = BatchExecutor(mode="serial", max_workers=1, **engine_kwargs)
+    engine = BatchExecutor(**engine_kwargs)
     # Delta-mode caches retain request coords past the reply, so they
     # must own their bytes; otherwise zero-copy views are safe for the
     # lifetime of the window (the router reclaims request blocks only

@@ -297,7 +297,7 @@ class TestExecutorParity:
         pipeline = PipelineSpec(radius=0.4, group_size=8)
         clouds = [make_cloud(n, seed=700 + n, duplicates=(n % 2 == 0))
                   for n in (1, 5, 40, 181, 304)]
-        engine = BatchExecutor(partitioner, block_size=16, max_workers=2)
+        engine = BatchExecutor(partitioner, block_size=16)
         report = engine.run(clouds, pipeline)
         for coords, result in zip(clouds, report.results):
             ref = self.reference_pipeline(coords, partitioner, 16, pipeline)
@@ -312,7 +312,7 @@ class TestExecutorParity:
         clouds = [make_cloud(n, seed=800 + n, duplicates=(n % 2 == 0))
                   for n in (1, 5, 40, 181)]
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, kernel=kernel
+            "kdtree", block_size=16, kernel=kernel
         )
         report = engine.run(clouds, pipeline)
         for coords, result in zip(clouds, report.results):
@@ -335,7 +335,7 @@ class TestFusedExecutorParity:
                   for i in range(4)]
         clouds.append(make_cloud(41, seed=950))
         clouds.append(clouds[1].copy())
-        engine = BatchExecutor(partitioner, block_size=16, max_workers=1, fuse=True)
+        engine = BatchExecutor(partitioner, block_size=16, fuse=True)
         report = engine.run(clouds, pipeline)
         assert [r.index for r in report.results] == list(range(len(clouds)))
         for coords, result in zip(clouds, report.results):
@@ -352,7 +352,7 @@ class TestFusedExecutorParity:
     def test_fused_traces_match_serial(self):
         pipeline = PipelineSpec(radius=0.4, group_size=8)
         clouds = [make_cloud(96, seed=1000 + i) for i in range(3)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         fused = engine.run(clouds, pipeline, fuse=True)
         serial = engine.run(clouds, pipeline)
         for a, b in zip(fused.results, serial.results):
@@ -379,7 +379,7 @@ class TestFusedExecutorParity:
             (rng.normal(size=(80, 3)), rng.normal(size=(80, 5)))
             for _ in range(3)
         ]
-        engine = BatchExecutor("kdtree", block_size=8, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=8)
         fused = engine.run(clouds, pipeline, fuse=True)
         serial = engine.run(clouds, pipeline)
         widened = 0
@@ -420,7 +420,7 @@ class TestMixedSizeFusedParity:
         clouds = [make_cloud(n, seed=1100 + n, duplicates=(n % 2 == 0))
                   for n in sizes]
         engine = BatchExecutor(
-            partitioner, block_size=16, max_workers=1, fuse=True,
+            partitioner, block_size=16, fuse=True,
             fuse_max_spread=None,
         )
         self.assert_parity(clouds, engine, pipeline, partitioner)
@@ -430,7 +430,7 @@ class TestMixedSizeFusedParity:
         and still match the serial path exactly."""
         pipeline = PipelineSpec(radius=0.4, group_size=4)
         clouds = [make_cloud(n, seed=1200 + n) for n in (1, 2, 3, 4)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1, fuse=True)
+        engine = BatchExecutor("kdtree", block_size=16, fuse=True)
         self.assert_parity(clouds, engine, pipeline, "kdtree")
 
     def test_duplicates_deduped_inside_bucket(self):
@@ -438,7 +438,7 @@ class TestMixedSizeFusedParity:
         clouds = [make_cloud(n, seed=1300 + n) for n in (60, 70, 80)]
         batch = [clouds[0], clouds[1], clouds[0].copy(), clouds[2],
                  clouds[1].copy()]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1, fuse=True)
+        engine = BatchExecutor("kdtree", block_size=16, fuse=True)
         report = self.assert_parity(batch, engine, pipeline, "kdtree")
         assert report.stats.reused == 2
         assert report.results[2].reused and report.results[4].reused
@@ -450,7 +450,7 @@ class TestMixedSizeFusedParity:
         pipeline = PipelineSpec(radius=0.4, group_size=8)
         clouds = [make_cloud(n, seed=1400 + n) for n in (20, 30, 200, 260)]
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse=True,
+            "kdtree", block_size=16, fuse=True,
             fuse_max_spread=2.0,
         )
         buckets = engine._fuse_buckets([(i, c, None) for i, c in enumerate(clouds)])
@@ -458,7 +458,7 @@ class TestMixedSizeFusedParity:
         self.assert_parity(clouds, engine, pipeline, "kdtree")
 
         tight = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse=True,
+            "kdtree", block_size=16, fuse=True,
             fuse_max_points=50, fuse_max_spread=None,
         )
         buckets = tight._fuse_buckets([(i, c, None) for i, c in enumerate(clouds)])
@@ -474,7 +474,7 @@ class TestMixedSizeFusedParity:
             (rng.normal(size=(n, 3)), rng.normal(size=(n, 5)))
             for n in (50, 64, 90, 130)
         ]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         fused = engine.run(clouds, pipeline, fuse=True)
         serial = engine.run(clouds, pipeline)  # per-cloud unfused path
         assert sum(not r.reused for r in serial.results) == len(clouds)
@@ -487,7 +487,7 @@ class TestMixedSizeFusedParity:
     def test_mixed_size_traces_match_serial(self):
         pipeline = PipelineSpec(radius=0.4, group_size=8)
         clouds = [make_cloud(n, seed=1500 + n) for n in (60, 75, 96)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         fused = engine.run(clouds, pipeline, fuse=True)
         serial = engine.run(clouds, pipeline)
         for a, b in zip(fused.results, serial.results):
@@ -517,7 +517,7 @@ class TestMixedSizeFusedParity:
         clouds = [rng.normal(size=(n, 3)) for n in sizes]
         pipeline = PipelineSpec(radius=0.5, group_size=4)
         engine = BatchExecutor(
-            partitioner, block_size=8, max_workers=1, fuse=True,
+            partitioner, block_size=8, fuse=True,
             fuse_max_spread=spread,
         )
         report = engine.run(clouds, pipeline)
@@ -664,7 +664,7 @@ class TestServedPathsSkipTheDispatcher:
         # Pairwise spread > 1.01: nothing fuses, every bucket is of one.
         clouds = [make_cloud(n, seed=6000 + n) for n in (40, 90, 150)]
         with BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse_max_spread=1.01
+            "kdtree", block_size=16, fuse_max_spread=1.01
         ) as engine:
             served = [engine.run_cloud(clouds[0], pipeline)]
             served += engine.stream(clouds, pipeline)
@@ -686,7 +686,7 @@ class TestServedPathsSkipTheDispatcher:
 
 class TestRunCloudIsTheSerialReference:
     """The benchmark harness checks served bits against
-    ``BatchExecutor(mode="serial", kernel="loop").run_cloud``, which runs
+    ``BatchExecutor(kernel="loop").run_cloud``, which runs
     the fused body as a window of one.  Pin it to the reference: the
     ``dispatch.run_op(..., kernel="loop")`` chain for BPPO, traces
     included, and ``run_offline`` for the models."""
@@ -722,7 +722,7 @@ class TestRunCloudIsTheSerialReference:
         coords = make_cloud(n, seed=6100 + n, duplicates=True)
         pipeline = PipelineSpec()
         with BatchExecutor(
-            partitioner, block_size=block_size, mode="serial", kernel="loop",
+            partitioner, block_size=block_size, kernel="loop",
             reuse_results=False,
         ) as engine:
             served = engine.run_cloud(coords, pipeline)
@@ -737,7 +737,7 @@ class TestRunCloudIsTheSerialReference:
     def test_models(self, name):
         coords = make_cloud(130, seed=6200)
         with BatchExecutor(
-            "fractal", mode="serial", kernel="loop", reuse_results=False
+            "fractal", kernel="loop", reuse_results=False
         ) as engine:
             served = engine.run_cloud(coords, PipelineSpec(model=name))
         want = run_offline(name, coords)

@@ -63,7 +63,7 @@ class TestCommands:
     def test_batch_run(self, capsys):
         rc = main(["batch-run", "--dataset", "modelnet40", "--clouds", "3",
                    "--points", "256", "--partitioner", "kdtree",
-                   "--block-size", "32", "--workers", "2"])
+                   "--block-size", "32"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "batch-run: 3 clouds on kdtree" in out
@@ -72,7 +72,7 @@ class TestCommands:
     def test_batch_run_serial_mode(self, capsys):
         rc = main(["batch-run", "--dataset", "modelnet40", "--clouds", "2",
                    "--points", "128", "--partitioner", "uniform",
-                   "--block-size", "32", "--workers", "1", "--mode", "serial"])
+                   "--block-size", "32"])
         assert rc == 0
         assert "uniform" in capsys.readouterr().out
 
@@ -80,10 +80,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch-run", "--partitioner", "exact"])
 
+    def test_worker_pool_flags_are_gone(self):
+        # The engine is serial; multi-core serving is `serve --shards N`.
+        for argv in (["batch-run", "--workers", "2"],
+                     ["batch-run", "--mode", "thread"],
+                     ["serve", "--workers", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
     def test_batch_run_prints_latency_summary(self, capsys):
         rc = main(["batch-run", "--dataset", "modelnet40", "--clouds", "3",
                    "--points", "128", "--partitioner", "kdtree",
-                   "--block-size", "32", "--workers", "1"])
+                   "--block-size", "32"])
         assert rc == 0
         assert "p50/p95/p99" in capsys.readouterr().out
 
@@ -95,7 +103,7 @@ class TestCommands:
         assert rc == 0
         assert path.stat().st_size > 0
         rc = main(["serve", "--input", str(path), "--window", "4",
-                   "--max-wait-ms", "40", "--workers", "2",
+                   "--max-wait-ms", "40",
                    "--partitioner", "kdtree", "--block-size", "32",
                    "--stats-every", "1"])
         assert rc == 0
@@ -106,7 +114,7 @@ class TestCommands:
 
     def test_serve_builtin_traffic(self, capsys):
         rc = main(["serve", "--clouds", "6", "--min-points", "32",
-                   "--max-points", "64", "--window", "3", "--workers", "1",
+                   "--max-points", "64", "--window", "3",
                    "--partitioner", "kdtree", "--block-size", "32"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -138,7 +146,7 @@ class TestCommands:
                    "--out", str(path)])
         assert rc == 0
         rc = main(["serve", "--input", str(path), "--model", "pointnet2-cls",
-                   "--agg", "delayed", "--window", "4", "--workers", "1"])
+                   "--agg", "delayed", "--window", "4"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "model pointnet2-cls [delayed]" in out
@@ -152,7 +160,7 @@ class TestCommands:
         assert rc == 0
         rc = main(["serve", "--input", str(path), "--tenants", "2",
                    "--model", "pointnet2-cls,pointnet2-seg",
-                   "--window", "4", "--workers", "1"])
+                   "--window", "4"])
         assert rc == 0
         assert "served 6 clouds" in capsys.readouterr().out
 

@@ -39,7 +39,7 @@ def _assert_fused_cold_matches(strategy, block, clouds, pipeline):
     """Run ``clouds`` as one fused window on a cold engine and compare
     every cloud's samples and FPS trace with build-then-``block_fps``."""
     report = BatchExecutor(
-        strategy, block_size=block, max_workers=1, fuse=True,
+        strategy, block_size=block, fuse=True,
         reuse_results=False, fuse_max_spread=None,
     ).run(clouds, pipeline)
     partitioner = get_partitioner(strategy, max_points_per_block=block)
@@ -155,7 +155,7 @@ class TestExecutorIntegration:
         monkeypatch.setattr(executor.dispatch, "run_op", spy_op)
         monkeypatch.setattr(executor, "fps_on_layout", spy_fps)
         engine = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False, fuse=True,
+            "fractal", reuse_results=False, fuse=True,
         )
         report = engine.run(
             [_cloud(500, seed=1), _cloud(500, seed=2)],

@@ -79,13 +79,13 @@ class TestPartitionCache:
 class TestBatchExecutor:
     def test_results_in_submission_order(self):
         clouds = make_clouds(7, seed=2)
-        report = BatchExecutor("kdtree", block_size=32, max_workers=3).run(clouds)
+        report = BatchExecutor("kdtree", block_size=32).run(clouds)
         assert [r.index for r in report.results] == list(range(7))
         assert [r.num_points for r in report.results] == [len(c) for c in clouds]
 
     def test_stats_accounting(self):
         clouds = make_clouds(5, seed=3)
-        report = BatchExecutor("kdtree", block_size=32, max_workers=1).run(clouds)
+        report = BatchExecutor("kdtree", block_size=32).run(clouds)
         stats = report.stats
         assert stats.clouds == 5
         assert stats.points == sum(len(c) for c in clouds)
@@ -95,7 +95,7 @@ class TestBatchExecutor:
     def test_dedup_replays_identical_clouds(self):
         clouds = make_clouds(4, seed=4)
         batch = clouds + [clouds[1], clouds[2]]
-        report = BatchExecutor("kdtree", block_size=32, max_workers=2).run(batch)
+        report = BatchExecutor("kdtree", block_size=32).run(batch)
         assert report.stats.reused == 2
         for orig, rep in ((1, 4), (2, 5)):
             assert report.results[rep].reused
@@ -112,7 +112,7 @@ class TestBatchExecutor:
         b = a.copy()
         b[0, 0] = np.nextafter(a[0, 0], np.inf)  # one float64 ulp apart
         assert np.float32(a[0, 0]) == np.float32(b[0, 0])  # float32-equal
-        report = BatchExecutor("kdtree", block_size=32, max_workers=1).run([a, b])
+        report = BatchExecutor("kdtree", block_size=32).run([a, b])
         assert report.stats.reused == 0
         assert not report.results[1].reused
 
@@ -120,7 +120,7 @@ class TestBatchExecutor:
         clouds = make_clouds(2, seed=5)
         batch = clouds + [clouds[0]]
         engine = BatchExecutor(
-            "kdtree", block_size=32, max_workers=1, reuse_results=False
+            "kdtree", block_size=32, reuse_results=False
         )
         report = engine.run(batch)
         assert report.stats.reused == 0
@@ -149,7 +149,7 @@ class TestBatchExecutor:
                 pulled.append(i)
                 yield c
 
-        engine = BatchExecutor("kdtree", block_size=32, max_workers=2)
+        engine = BatchExecutor("kdtree", block_size=32)
         stream = engine.stream(source())
         first = next(stream)
         assert first.index == 0
@@ -172,15 +172,22 @@ class TestBatchExecutor:
         )
         assert len(result.sampled) == 20
 
-    def test_process_mode_requires_partitioner_name(self):
-        with pytest.raises(ValueError, match="process mode"):
-            BatchExecutor(
-                get_partitioner("kdtree"), max_workers=2, mode="process"
-            )
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             BatchExecutor("kdtree", mode="fleet")
+
+    def test_worker_pool_settings_point_to_shards(self):
+        """The engine is serial; the retired pool settings fail loudly and
+        name the shard router as the multi-core path."""
+        for kwargs in (dict(mode="thread"), dict(mode="process"),
+                       dict(max_workers=2)):
+            with pytest.raises(ValueError, match="ShardRouter.*--shards"):
+                BatchExecutor("kdtree", **kwargs)
+        for kwargs in (dict(mode="serial"), dict(max_workers=1),
+                       dict(mode="serial", max_workers=1)):
+            with BatchExecutor("kdtree", **kwargs) as engine:
+                assert engine.run_cloud(np.zeros((4, 3))).num_points == 4
+            engine.close()  # a no-op, safe to repeat
 
     def test_invalid_cloud_shapes_rejected(self):
         engine = BatchExecutor("kdtree")
@@ -190,17 +197,6 @@ class TestBatchExecutor:
             engine.run_cloud(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="features"):
             engine.run_cloud((np.zeros((4, 3)), np.zeros((3, 2))))
-
-    def test_process_mode_matches_serial(self):
-        clouds = make_clouds(4, seed=10, max_n=150)
-        pipe = PipelineSpec(radius=0.5, group_size=4)
-        serial = BatchExecutor("kdtree", block_size=32, max_workers=1).run(clouds, pipe)
-        proc = BatchExecutor(
-            "kdtree", block_size=32, max_workers=2, mode="process"
-        ).run(clouds, pipe)
-        for a, b in zip(serial.results, proc.results):
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.interpolated, b.interpolated)
 
     def test_traces_cover_all_stages(self):
         result = BatchExecutor("kdtree", block_size=32).run_cloud(
@@ -237,10 +233,10 @@ class TestDeltaEngine:
         frames = make_frame_stream(6, seed=1)
         pipe = PipelineSpec(sample_ratio=0.25)
         ref = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False
+            "fractal", reuse_results=False
         ).run(frames, pipe)
         dlt = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False, delta=True
+            "fractal", reuse_results=False, delta=True
         ).run(frames, pipe)
         for a, b in zip(ref.results, dlt.results):
             assert np.array_equal(a.sampled, b.sampled)
@@ -253,7 +249,7 @@ class TestDeltaEngine:
     def test_partition_source_and_counters(self):
         frames = make_frame_stream(5, seed=2, churn=10)
         report = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False, delta=True
+            "fractal", reuse_results=False, delta=True
         ).run(frames, PipelineSpec(sample_ratio=0.25))
         sources = [r.partition_source for r in report.results]
         assert sources[0] == "cold"
@@ -268,7 +264,7 @@ class TestDeltaEngine:
         frames = make_frame_stream(5, seed=3, churn=15)
         pipe = PipelineSpec(sample_ratio=0.25)
         report = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False, delta=True
+            "fractal", reuse_results=False, delta=True
         ).run(frames, pipe)
         assert report.stats.patched >= 3
         for frame, result in zip(frames, report.results):
@@ -308,7 +304,7 @@ class TestDeltaEngine:
         frames = make_frame_stream(4, seed=4, churn=10)
         pipe = PipelineSpec(sample_ratio=0.25)
         engine = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False, delta=True
+            "fractal", reuse_results=False, delta=True
         )
         first = engine.cache.partitioner(frames[0])
         monkeypatch.setattr(
@@ -322,7 +318,7 @@ class TestDeltaEngine:
         assert report.stats.patched == 0
         assert report.stats.cold == len(frames)
         ref = BatchExecutor(
-            "fractal", mode="serial", reuse_results=False
+            "fractal", reuse_results=False
         ).run(frames, pipe)
         for a, b in zip(ref.results, report.results):
             assert np.array_equal(a.sampled, b.sampled)
@@ -340,7 +336,7 @@ class TestDeltaEngine:
     def test_non_delta_engine_reports_cold_sources(self):
         clouds = make_clouds(3, seed=5, max_n=150)
         report = BatchExecutor(
-            "kdtree", mode="serial", reuse_results=False
+            "kdtree", reuse_results=False
         ).run(clouds, PipelineSpec())
         assert all(
             r.partition_source == "cold" for r in report.results

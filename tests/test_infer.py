@@ -102,7 +102,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("fuse", [False, True])
     def test_engine_matches_offline(self, name, fuse):
         clouds = [make_cloud(n, seed=10 + n) for n in SIZES]
-        engine = BatchExecutor("fractal", max_workers=1, fuse=fuse)
+        engine = BatchExecutor("fractal", fuse=fuse)
         report = engine.run(clouds, PipelineSpec(model=name, agg="delayed"))
         for result, coords in zip(report.results, clouds):
             ref = run_offline(name, coords, agg="delayed")
@@ -117,7 +117,7 @@ class TestEngineParity:
         coords = make_cloud(130, seed=5)
         baseline = run_offline("pointnet2-cls", coords, kernel="loop")
         monkeypatch.setenv(dispatch.KERNEL_ENV, kernel)
-        engine = BatchExecutor("fractal", max_workers=1, fuse=True)
+        engine = BatchExecutor("fractal", fuse=True)
         report = engine.run(
             [coords], PipelineSpec(model="pointnet2-cls", agg="delayed")
         )
@@ -125,7 +125,7 @@ class TestEngineParity:
 
     def test_duplicate_clouds_replay(self):
         coords = make_cloud(90, seed=7)
-        engine = BatchExecutor("fractal", max_workers=1, fuse=True)
+        engine = BatchExecutor("fractal", fuse=True)
         report = engine.run(
             [coords, coords.copy()],
             PipelineSpec(model="pointnet2-cls", agg="delayed"),
@@ -144,7 +144,7 @@ class TestEngineParity:
         """Whatever the bucket composition, fused ≡ offline per cloud."""
         clouds = [make_cloud(n, seed=1000 + i) for i, n in enumerate(sizes)]
         engine = BatchExecutor(
-            "fractal", max_workers=1, fuse=True, reuse_results=False
+            "fractal", fuse=True, reuse_results=False
         )
         report = engine.run(clouds, PipelineSpec(model="pointnet2-cls", agg=agg))
         for result, coords in zip(report.results, clouds):
@@ -155,7 +155,7 @@ class TestEngineParity:
 class TestSegmenterParity:
     def test_per_point_outputs_split_back(self):
         clouds = [make_cloud(n, seed=40 + n) for n in (80, 130)]
-        engine = BatchExecutor("fractal", max_workers=1, fuse=True)
+        engine = BatchExecutor("fractal", fuse=True)
         report = engine.run(
             clouds, PipelineSpec(model="pointnet2-seg", agg="delayed")
         )
@@ -180,7 +180,7 @@ class TestServedInference:
             "msg": ("pointnet2-msg-cls", [make_cloud(95, seed=2)]),
             "seg": ("pointnet2-seg", [make_cloud(85, seed=9)]),
         }
-        engine = BatchExecutor("fractal", max_workers=1)
+        engine = BatchExecutor("fractal")
         server = MultiTenantServer(
             engine,
             [

@@ -529,7 +529,7 @@ class TestTraceCli:
 
         path = str(tmp_path / "trace.json")
         rc = main([
-            "serve", "--clouds", "12", "--window", "4", "--workers", "2",
+            "serve", "--clouds", "12", "--window", "4",
             "--stats-every", "0", "--max-points", "128",
             "--trace", path, "--metrics",
         ])

@@ -108,8 +108,7 @@ class TestAllocationProperties:
 
 class TestExecutorProperties:
     """The batched engine is a pure function of (cloud, pipeline): its
-    per-cloud results must not depend on batch order, worker count, or
-    cache state."""
+    per-cloud results must not depend on batch order or cache state."""
 
     @staticmethod
     def _run(clouds, **kwargs):
@@ -125,21 +124,19 @@ class TestExecutorProperties:
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
-    def test_batch_order_and_worker_count_invariance(self, seed, m, clustered):
+    def test_batch_order_invariance(self, seed, m, clustered):
         clouds = [_cloud(seed + i, 20 + (37 * i) % 180, clustered)
                   for i in range(m)]
-        _, one = self._run(clouds, max_workers=1)
-        _, many = self._run(clouds, max_workers=4)
-        _, reversed_ = self._run(clouds[::-1], max_workers=1)
+        _, forward = self._run(clouds)
+        _, reversed_ = self._run(clouds[::-1])
         for i in range(m):
-            self._assert_same(one.results[i], many.results[i])
-            self._assert_same(one.results[i], reversed_.results[m - 1 - i])
+            self._assert_same(forward.results[i], reversed_.results[m - 1 - i])
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4))
     def test_cold_vs_warm_cache_invariance(self, seed, m):
         clouds = [_cloud(seed + i, 25 + 31 * i, clustered=False) for i in range(m)]
-        engine, cold = self._run(clouds, max_workers=2)
+        engine, cold = self._run(clouds)
         warm = engine.run(clouds, PipelineSpec(radius=0.5, group_size=4))
         assert cold.stats.cache_hits == 0
         assert warm.stats.cache_hits + warm.stats.reused == m  # fully warm

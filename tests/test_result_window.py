@@ -117,12 +117,12 @@ class TestReuseWindowValidation:
         crash ``stream()`` / ``serve()`` on the first unique cloud."""
         with pytest.raises(ValueError, match="reuse_window"):
             BatchExecutor(  # repro: ignore[REP004] (raises, never built)
-                "kdtree", max_workers=1, reuse_window=-1
+                "kdtree", reuse_window=-1
             )
 
     def test_zero_keeps_within_window_dedup(self):
         with BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, reuse_window=0
+            "kdtree", block_size=16, reuse_window=0
         ) as engine:
             streamed = list(engine.stream([A, A], PIPELINE))
             fused = engine.run([A, A], PIPELINE, fuse=True).results
@@ -140,7 +140,7 @@ DISTINCT = 4
 
 def engine(**kwargs):
     return BatchExecutor(
-        "kdtree", block_size=16, max_workers=1, reuse_window=DISTINCT,
+        "kdtree", block_size=16, reuse_window=DISTINCT,
         **kwargs,
     )
 

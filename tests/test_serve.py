@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from test_batch_parity import TestExecutorParity, make_cloud
 
 from repro.runtime import BatchExecutor, PipelineSpec, content_key, result_key
+from repro.runtime.executor import DEFAULT_IN_FLIGHT
 from repro.serve import (
     LoadSpec,
     ServeTelemetry,
@@ -165,7 +166,7 @@ class TestWindowedServeParity:
                   for n in (1, 5, 40, 64, 181, 200)]
         clouds = clouds + [clouds[2], clouds[4]]
         engine = BatchExecutor(
-            partitioner, block_size=16, max_workers=2, fuse_max_spread=None
+            partitioner, block_size=16, fuse_max_spread=None
         )
         served, _ = serve_all(
             engine, clouds, self.PIPELINE, WindowConfig(max_clouds=3)
@@ -173,7 +174,7 @@ class TestWindowedServeParity:
         self.assert_serial_parity(clouds, served, partitioner)
 
         fused = BatchExecutor(
-            partitioner, block_size=16, max_workers=1, fuse=True,
+            partitioner, block_size=16, fuse=True,
             fuse_max_spread=None,
         ).run(clouds, self.PIPELINE)
         for a, b in zip(served, fused.results):
@@ -187,7 +188,7 @@ class TestWindowedServeParity:
         result (reused flag, shared arrays) instead of recomputing."""
         clouds = [make_cloud(n, seed=2100 + n) for n in (50, 60, 70)]
         batch = clouds + [clouds[0], clouds[1], clouds[0]]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         served, telemetry = serve_all(
             engine, batch, self.PIPELINE, WindowConfig(max_clouds=3)
         )
@@ -200,7 +201,7 @@ class TestWindowedServeParity:
     def test_dedup_disabled_recomputes(self):
         clouds = [make_cloud(40, seed=7)] * 3
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, reuse_results=False
+            "kdtree", block_size=16, reuse_results=False
         )
         served, _ = serve_all(
             engine, clouds, self.PIPELINE, WindowConfig(max_clouds=2)
@@ -210,7 +211,7 @@ class TestWindowedServeParity:
 
     def test_window_of_one_is_pure_streaming(self):
         clouds = [make_cloud(n, seed=2200 + n) for n in (30, 45, 60)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         served, telemetry = serve_all(
             engine, clouds, self.PIPELINE,
             WindowConfig(max_clouds=1, max_wait=0.01),
@@ -225,11 +226,11 @@ class TestWindowedServeParity:
             (rng.normal(size=(n, 3)), rng.normal(size=(n, 5)))
             for n in (40, 44, 48, 52)
         ]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = WindowedServer(engine, WindowConfig(max_clouds=4))
         served = list(server.serve(iter(clouds), self.PIPELINE))
         fused = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse=True
+            "kdtree", block_size=16, fuse=True
         ).run(clouds, self.PIPELINE)
         for a, b in zip(served, fused.results):
             assert a.grouped.shape[-1] == 5
@@ -237,7 +238,7 @@ class TestWindowedServeParity:
             assert np.array_equal(a.interpolated, b.interpolated)
 
     def test_empty_stream(self):
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         served, telemetry = serve_all(
             engine, [], self.PIPELINE, WindowConfig(max_clouds=4)
         )
@@ -251,7 +252,7 @@ class TestWindowedServeParity:
             yield from clouds
             raise RuntimeError("sensor unplugged")
 
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = WindowedServer(engine, WindowConfig(max_clouds=8))
         stream = server.serve(broken(), self.PIPELINE)
         results = []
@@ -275,7 +276,7 @@ class TestWindowTimeout:
                 yield cloud
                 time.sleep(0.08)
 
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         telemetry = ServeTelemetry(window_capacity=16)
         server = WindowedServer(
             engine, WindowConfig(max_clouds=16, max_wait=max_wait),
@@ -324,7 +325,7 @@ class TestWindowTimeout:
                 time.sleep(0.05)
 
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse_max_spread=None
+            "kdtree", block_size=16, fuse_max_spread=None
         )
         telemetry = ServeTelemetry(window_capacity=8)
         server = WindowedServer(
@@ -340,7 +341,7 @@ class TestWindowTimeout:
             > telemetry.timeout_windows + telemetry.idle_windows
         )
         fused = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, fuse=True,
+            "kdtree", block_size=16, fuse=True,
             fuse_max_spread=None,
         ).run(clouds, pipeline)
         assert [r.index for r in served] == list(range(len(clouds)))
@@ -352,7 +353,7 @@ class TestWindowTimeout:
 
     def test_fast_source_closes_on_count(self):
         clouds = [make_cloud(40 + n, seed=2400 + n) for n in range(6)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         telemetry = ServeTelemetry(window_capacity=3)
         server = WindowedServer(
             engine, WindowConfig(max_clouds=3, max_wait=5.0),
@@ -367,9 +368,9 @@ class TestWindowTimeout:
 
 class TestBackpressure:
     def test_in_flight_default_and_validation(self):
-        engine = BatchExecutor("kdtree", max_workers=3)
-        assert engine.in_flight == 6
-        engine = BatchExecutor("kdtree", max_workers=3, in_flight=5)
+        engine = BatchExecutor("kdtree")
+        assert engine.in_flight == DEFAULT_IN_FLIGHT == 8
+        engine = BatchExecutor("kdtree", in_flight=5)
         assert engine.in_flight == 5
         with pytest.raises(ValueError, match="in_flight"):
             BatchExecutor("kdtree", in_flight=0)
@@ -383,12 +384,12 @@ class TestBackpressure:
                 yield make_cloud(30, seed=2500 + i)
 
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, in_flight=3,
-            reuse_results=False,
+            "kdtree", block_size=16, in_flight=3, reuse_results=False,
         )
         stream = engine.stream(source())
         next(stream)
-        assert len(pulled) <= 4  # window (3) + the one being submitted
+        # The serial stream pulls one cloud per result, inside the bound.
+        assert len(pulled) == 1
         list(stream)
         assert len(pulled) == 12
 
@@ -404,7 +405,7 @@ class TestBackpressure:
                 yield make_cloud(25, seed=2600 + i)
 
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, in_flight=2,
+            "kdtree", block_size=16, in_flight=2,
             reuse_results=False,
         )
         server = WindowedServer(
@@ -562,98 +563,6 @@ class TestLoadgen:
         truncated = io.BytesIO(buf.getvalue()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             list(read_stream(truncated))
-
-
-class TestPersistentPool:
-    """One pool per engine, used only by parallel ``stream()`` calls.
-
-    Serving windows run every bucket — buckets of one included — through
-    the fused body in the calling thread, so they never build a pool;
-    ``stream()`` calls reuse one persistent pool and ``close()`` joins it.
-    """
-
-    def unfusable(self, count, seed):
-        # Pairwise spread > 1.01 so nothing fuses and every window is
-        # made of buckets of one.
-        return [make_cloud(30 * (i + 1), seed=seed + i) for i in range(count)]
-
-    def test_pool_identity_across_windows(self):
-        engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False,
-            fuse_max_spread=1.01,
-        )
-        server = WindowedServer(engine, WindowConfig(max_clouds=2))
-        for start in (0, 2, 4):
-            clouds = self.unfusable(2, seed=5000 + start)
-            list(server.serve(iter(clouds), TestWindowedServeParity.PIPELINE))
-            assert engine.pool is None  # windows of one never go parallel
-        pools = []
-        for start in (6, 8, 10):
-            list(engine.stream(self.unfusable(2, seed=5000 + start)))
-            pools.append(engine.pool)
-        assert pools[0] is not None
-        assert pools[1] is pools[0] and pools[2] is pools[0]
-        server.close()
-        assert engine.pool is None
-
-    def test_stream_and_windows_share_one_pool(self):
-        engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False,
-            fuse_max_spread=1.01,
-        )
-        list(engine.stream(self.unfusable(3, seed=5100)))
-        streamed_pool = engine.pool
-        engine.execute_window(
-            [(i, np.asarray(c, dtype=np.float64), None)
-             for i, c in enumerate(self.unfusable(2, seed=5200))],
-            PipelineSpec(),
-        )
-        assert streamed_pool is not None
-        assert engine.pool is streamed_pool
-
-    def test_close_joins_and_allows_reuse(self):
-        engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False
-        )
-        results = list(engine.stream(self.unfusable(2, seed=5300)))
-        assert len(results) == 2
-        engine.close()
-        assert engine.pool is None
-        engine.close()  # idempotent
-        # a closed engine lazily rebuilds on next use
-        results = list(engine.stream(self.unfusable(2, seed=5400)))
-        assert len(results) == 2
-        assert engine.pool is not None
-        engine.close()
-
-    def test_context_manager(self):
-        with BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False
-        ) as engine:
-            list(engine.stream(self.unfusable(2, seed=5500)))
-            assert engine.pool is not None
-        assert engine.pool is None
-
-    def test_serial_engine_never_builds_a_pool(self):
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
-        list(engine.stream(self.unfusable(2, seed=5600)))
-        assert engine.pool is None
-        engine.close()  # no-op, no error
-
-    def test_server_close_delegates_to_engine(self):
-        engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False,
-            fuse_max_spread=1.01,
-        )
-        with WindowedServer(engine, WindowConfig(max_clouds=2)) as server:
-            clouds = self.unfusable(2, seed=5700)
-            list(server.serve(iter(clouds), TestWindowedServeParity.PIPELINE))
-            list(engine.stream(self.unfusable(2, seed=5800)))
-            pool = engine.pool
-            assert pool is not None
-        assert engine.pool is None
-        with pytest.raises(RuntimeError):  # joined: takes no more work
-            pool.submit(int)
 
 
 class TestLoadgenProfiles:
@@ -865,7 +774,7 @@ class TestImportOrder:
 class TestExecutorSummary:
     def test_summary_reports_percentiles(self):
         clouds = [make_cloud(n, seed=2700 + n) for n in (40, 60, 80)]
-        report = BatchExecutor("kdtree", block_size=16, max_workers=1).run(clouds)
+        report = BatchExecutor("kdtree", block_size=16).run(clouds)
         stats = report.stats
         assert 0 < stats.latency_p50 <= stats.latency_p95 <= stats.latency_p99
         line = report.summary()
@@ -873,7 +782,7 @@ class TestExecutorSummary:
         assert line == stats.summary()
 
     def test_empty_batch_summary(self):
-        report = BatchExecutor("kdtree", max_workers=1).run([])
+        report = BatchExecutor("kdtree").run([])
         assert report.stats.latency_p99 == 0.0
         assert "0 reused" in report.summary()
 
@@ -957,7 +866,7 @@ class TestDeltaServe:
 
     def test_telemetry_splits_partition_sources(self):
         frames = self.frame_stream(12, churn=0.1)
-        engine = BatchExecutor("fractal", max_workers=1, delta=True)
+        engine = BatchExecutor("fractal", delta=True)
         served, telemetry = serve_all(
             engine, frames, self.PIPELINE, WindowConfig(max_clouds=4)
         )
@@ -981,12 +890,12 @@ class TestDeltaServe:
         frames = self.frame_stream(8, churn=0.0, motion=1e-4)
         window = WindowConfig(max_clouds=3)
         plain, _ = serve_all(
-            BatchExecutor("fractal", max_workers=1, reuse_results=False),
+            BatchExecutor("fractal", reuse_results=False),
             frames, self.PIPELINE, window,
         )
         delta, telemetry = serve_all(
             BatchExecutor(
-                "fractal", max_workers=1, reuse_results=False, delta=True
+                "fractal", reuse_results=False, delta=True
             ),
             frames, self.PIPELINE, window,
         )
@@ -1003,7 +912,7 @@ class TestDeltaServe:
 
     def test_plain_engine_reports_all_cold(self):
         clouds = [make_cloud(n, seed=3000 + n) for n in (40, 60, 80)]
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         _, telemetry = serve_all(
             engine, clouds, self.PIPELINE, WindowConfig(max_clouds=2)
         )

@@ -222,7 +222,7 @@ class TestShardRouter:
     def test_parity_with_single_process_server_both_transports(self):
         clouds = clouds_for(8)
         stream = clouds + clouds[1:4]  # repeats exercise dedup replay
-        engine = BatchExecutor(mode="serial", max_workers=1, **ENGINE)
+        engine = BatchExecutor(**ENGINE)
         with WindowedServer(engine, WindowConfig(max_clouds=4,
                                                  max_wait=0.01)) as server:
             reference = list(server.serve(iter(stream)))

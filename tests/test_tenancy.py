@@ -57,7 +57,7 @@ class TestTenantSpec:
             TenantSpec("a", reuse_window=0)
 
     def test_server_rejects_bad_rosters(self):
-        engine = BatchExecutor("kdtree", max_workers=1)
+        engine = BatchExecutor("kdtree")
         with pytest.raises(ValueError, match="at least one"):
             MultiTenantServer(engine, [])
         with pytest.raises(ValueError, match="duplicate"):
@@ -199,7 +199,7 @@ class TestDeficitRoundRobin:
     def test_lone_oversized_tenant_drains_every_round(self):
         """Regression: one tenant whose clouds all cost more than the
         quantum used to drain ``[0, 1, 1, 1]`` — an empty first round."""
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         with MultiTenantServer(engine, ["a"], quantum_points=30.0) as server:
             for n in (40, 44, 48, 52):
                 server.submit("a", make_cloud(n, seed=n), arrived=0.0)
@@ -236,7 +236,7 @@ class TestCrossTenantParity:
             "b": [make_cloud(n, seed=3100 + n) for n in (42, 48, 60, 200)],
         }
         engine = BatchExecutor(
-            partitioner, block_size=16, max_workers=1, fuse_max_spread=None
+            partitioner, block_size=16, fuse_max_spread=None
         )
         server = MultiTenantServer(
             engine,
@@ -264,7 +264,7 @@ class TestCrossTenantParity:
             "wide": [make_cloud(n, seed=3200 + n) for n in (40, 50, 60)],
             "narrow": [make_cloud(n, seed=3300 + n) for n in (45, 55)],
         }
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = MultiTenantServer(
             engine,
             [TenantSpec(name, pipeline) for name, pipeline in pipelines.items()],
@@ -292,7 +292,7 @@ class TestCrossTenantParity:
         pairs = []
         for name, tenant_clouds in clouds.items():
             pairs.extend((name, cloud) for cloud in tenant_clouds)
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=2)
+        engine = BatchExecutor("kdtree", block_size=16)
         with MultiTenantServer(
             engine,
             [TenantSpec("a", PIPELINE), TenantSpec("b", PIPELINE)],
@@ -309,7 +309,7 @@ class TestSessionIsolation:
         sessions never observe each other's results — while a repeat
         within one tenant replays from its own dedup window."""
         shared = make_cloud(50, seed=42)
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = MultiTenantServer(engine, ["a", "b"])
         server.submit("a", shared, arrived=0.0)
         server.submit("b", shared, arrived=0.0)
@@ -325,7 +325,7 @@ class TestSessionIsolation:
     def test_replay_across_rounds_from_session_window(self):
         cloud = make_cloud(60, seed=43)
         other = make_cloud(70, seed=44)
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = MultiTenantServer(engine, ["a"])
         server.submit("a", cloud, arrived=0.0)
         first = drain_all(server)
@@ -341,7 +341,7 @@ class TestSessionIsolation:
         tenant replays for another (hot assets are hot for everyone) —
         and the replay is still index-correct for the receiving tenant."""
         shared = make_cloud(50, seed=47)
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = MultiTenantServer(engine, ["a", "b"], share_results=True)
         server.submit("a", shared, arrived=0.0)
         drain_all(server)
@@ -355,7 +355,7 @@ class TestSessionIsolation:
         assert np.array_equal(ref[3], b_result.result.interpolated)
 
     def test_tenant_reuse_window_override(self):
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         server = MultiTenantServer(
             engine, [TenantSpec("tiny", reuse_window=1)]
         )
@@ -371,7 +371,7 @@ class TestOrdering:
         """Tiny windows + deep unequal backlogs: every tenant still sees
         strictly increasing seq numbers on its own stream."""
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, reuse_results=False
+            "kdtree", block_size=16, reuse_results=False
         )
         server = MultiTenantServer(
             engine, ["x", "y", "z"], window=WindowConfig(max_clouds=2),
@@ -401,7 +401,7 @@ class TestFairnessScenario:
 
     def run_scenario(self, quantum, rounds=30, burst=6):
         engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=1, reuse_results=False
+            "kdtree", block_size=16, reuse_results=False
         )
         server = MultiTenantServer(
             engine, ["bursty", "trickle"],
@@ -461,7 +461,7 @@ class TestStreamingCloseRule:
                     yield name, cloud
                     time.sleep(gap)
 
-        engine = BatchExecutor("kdtree", block_size=16, max_workers=1)
+        engine = BatchExecutor("kdtree", block_size=16)
         with MultiTenantServer(
             engine,
             [TenantSpec(name, PIPELINE) for name in self.CLOUDS],
@@ -511,31 +511,3 @@ class TestStreamingCloseRule:
             assert report.windows > 3  # fewer than the budget per round
             assert report.timeout_windows == 0
         assert elapsed < 2.5
-
-
-class TestPersistentPoolSharing:
-    def test_one_pool_across_rounds_and_tenants(self):
-        """Window rounds of every tenant run buckets of one in the
-        calling thread and never build the shared engine's pool; the
-        pool parallel ``stream()`` calls build is created once, reused,
-        and joined by the server's close."""
-        engine = BatchExecutor(
-            "kdtree", block_size=16, max_workers=2, reuse_results=False,
-            fuse_max_spread=1.01,  # nothing fuses -> buckets of one
-        )
-        server = MultiTenantServer(engine, ["a", "b"])
-        rng = np.random.default_rng(17)
-        for r in range(3):
-            server.submit("a", rng.normal(size=(30, 3)), arrived=float(r))
-            server.submit("a", rng.normal(size=(60, 3)), arrived=float(r))
-            server.submit("b", rng.normal(size=(90, 3)), arrived=float(r))
-            server.drain(now=r + 0.5)
-            assert engine.pool is None
-        pools = []
-        for _ in range(3):
-            list(engine.stream(rng.normal(size=(n, 3)) for n in (30, 60)))
-            pools.append(engine.pool)
-        assert pools[0] is not None
-        assert all(pool is pools[0] for pool in pools)
-        server.close()
-        assert engine.pool is None
