@@ -15,6 +15,8 @@ cloud alone.
 
 Every stage executes under a ``model.*`` span, so ``repro trace
 summarize`` shows the network pipeline next to the point-op kernels.
+The whole pass runs under :func:`repro.networks.layers.forward_only`:
+the model keeps no activations once a window is served.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ..core.ragged import (
     knn_on_layout,
 )
 from ..geometry import ops as exact_ops
+from ..networks.layers import Module, forward_only
 from ..networks.models import PNNClassifier, PNNClassifierMSG, PNNSegmenter
 from ..networks.modules import FPStage, SAStage
 from ..networks.msg import SAStageMSG
@@ -193,7 +196,17 @@ def run_fused(
     where each output is bit-identical to ``model.forward`` on that
     cloud alone with the same partitioner.
     """
-    model = get_model(name)
+    with forward_only():
+        return _forward(name, get_model(name), items, cache, agg)
+
+
+def _forward(
+    name: str,
+    model: Module,
+    items: list[tuple[int, np.ndarray, np.ndarray | None]],
+    cache: "PartitionCache",
+    agg: str,
+) -> tuple[list[np.ndarray], list[str], list[int]]:
     level0 = _Level(
         cache,
         [np.ascontiguousarray(coords, dtype=np.float64) for _, coords, _ in items],

@@ -3,18 +3,17 @@
 Serving traffic addresses models by name (``repro serve --model
 pointnet2-cls``); the registry maps each name to a small, fully
 deterministic backbone instance.  Parameters derive from a fixed seed,
-so every thread, worker process, and offline reference builds
-bit-identical weights — the property the served-vs-offline parity
-guarantee stands on.
+so every worker process and offline reference builds bit-identical
+weights — the property the served-vs-offline parity guarantee stands on.
 
-Model instances cache forward-pass state on their layers (for manual
-backprop), so one instance must never run concurrent forwards;
-:func:`get_model` therefore hands out *thread-local* instances.
+Served forwards (:func:`run_model` here, :func:`repro.infer.run_fused`)
+run under :func:`repro.networks.layers.forward_only`: they write nothing
+to the model, so :func:`get_model` keeps one instance per name per
+process, and any number of threads may run forwards on it at once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .. import obs
 from ..networks import PNNClassifier, PNNClassifierMSG, PNNSegmenter
 from ..networks.backends import PointOpsBackend, make_backend
-from ..networks.layers import Module
+from ..networks.layers import Module, forward_only
 
 __all__ = [
     "MODELS",
@@ -89,7 +88,7 @@ MODELS: dict[str, ModelSpec] = {
 
 MODEL_NAMES: tuple[str, ...] = tuple(MODELS)
 
-_LOCAL = threading.local()
+_INSTANCES: dict[str, Module] = {}
 
 
 def model_spec(name: str) -> ModelSpec:
@@ -102,19 +101,15 @@ def model_spec(name: str) -> ModelSpec:
 
 
 def get_model(name: str) -> Module:
-    """The calling thread's instance of ``name`` (built on first use).
+    """This process's instance of ``name`` (built on first use).
 
-    Thread-local because layers cache forward state for backprop; the
-    deterministic seed makes every thread's copy bit-identical, so
-    which thread serves a request never shows in the output.
+    One instance serves every thread: served forwards keep no state on
+    the model, and its parameters are only read.  Never train it.
     """
-    spec = model_spec(name)
-    instances = getattr(_LOCAL, "instances", None)
-    if instances is None:
-        instances = _LOCAL.instances = {}
-    model = instances.get(name)
+    model = _INSTANCES.get(name)
     if model is None:
-        model = instances[name] = spec.build()
+        # Two threads racing here build twice; ``setdefault`` keeps one.
+        model = _INSTANCES.setdefault(name, model_spec(name).build())
     return model
 
 
@@ -125,7 +120,7 @@ def run_model(
     backend: PointOpsBackend,
     agg: str = "auto",
 ) -> np.ndarray:
-    """One per-cloud forward pass under a ``model.forward`` span.
+    """One per-cloud forward-only pass under a ``model.forward`` span.
 
     ``features`` is accepted for signature parity with the engine's
     cloud tuples but ignored: the serving backbones derive features from
@@ -136,7 +131,7 @@ def run_model(
         obs.span("model.forward", points=len(coords))
         if obs.enabled()
         else obs.NULL_SPAN
-    ):
+    ), forward_only():
         return model.forward(coords, backend, agg=agg)
 
 

@@ -4,16 +4,28 @@ Just enough machinery to train the small PNN backbones used by the
 accuracy experiments: dense layers, ReLU, shared (pointwise) MLPs,
 neighbourhood max pooling, softmax cross-entropy, and Adam.  Every layer
 follows the same contract — ``forward`` caches what ``backward`` needs,
-``backward`` accumulates parameter gradients and returns the input
-gradient — and gradients are verified against finite differences in
-``tests/test_layers.py``.
+except under :func:`forward_only`, ``backward`` accumulates parameter
+gradients and returns the input gradient — and gradients are verified
+against finite differences in ``tests/test_layers.py``.
+
+:func:`forward_only` is for callers that will never run a backward pass
+(served inference, :mod:`repro.infer`): inside it no layer or stage keeps
+an input, a ReLU mask, a pooling argmax or neighbour indices, so a model
+holds no activations between calls and any number of threads can run
+forwards on one instance.  The forward's outputs are the same bits
+either way.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
+    "forward_only",
+    "forward_only_active",
     "Parameter",
     "Module",
     "Dense",
@@ -24,6 +36,30 @@ __all__ = [
     "softmax_cross_entropy",
     "Adam",
 ]
+
+
+_FORWARD_ONLY = threading.local()
+
+
+@contextmanager
+def forward_only():
+    """Run forwards that keep no state for ``backward`` (this thread only).
+
+    Layers inside the context clear their caches instead of filling
+    them, so a ``backward`` after such a forward raises ``RuntimeError``.
+    Re-entrant; the previous setting is restored on exit.
+    """
+    previous = forward_only_active()
+    _FORWARD_ONLY.on = True
+    try:
+        yield
+    finally:
+        _FORWARD_ONLY.on = previous
+
+
+def forward_only_active() -> bool:
+    """Whether the calling thread is inside :func:`forward_only`."""
+    return getattr(_FORWARD_ONLY, "on", False)
 
 
 class Parameter:
@@ -89,14 +125,15 @@ class Dense(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = None if forward_only_active() else x
         in_f, out_f = self.weight.shape
         x2 = x.reshape(-1, in_f)
         if len(x2) == 1:
             y2 = (np.concatenate([x2, x2]) @ self.weight.value)[:1]
         else:
             y2 = x2 @ self.weight.value
-        return (y2 + self.bias.value).reshape(x.shape[:-1] + (out_f,))
+        y2 += self.bias.value
+        return y2.reshape(x.shape[:-1] + (out_f,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._x
@@ -117,8 +154,11 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # ``np.where`` (not an in-place ``np.maximum``) maps -0.0 and NaN
+        # to +0.0, so what max pooling sees has no signed zero or NaN.
+        mask = x > 0
+        self._mask = None if forward_only_active() else mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -157,11 +197,15 @@ class SharedMLP(Module):
         return grad
 
 
-def max_pool(x: np.ndarray, axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Max over ``axis``; returns ``(pooled, argmax)`` for the backward pass."""
-    arg = np.argmax(x, axis=axis)
-    pooled = np.take_along_axis(x, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
-    return pooled, arg
+def max_pool(x: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Max over ``axis``.
+
+    A stage that will run ``backward`` also keeps ``np.argmax(x, axis)``
+    for :func:`max_pool_backward`.  On anything a :class:`ReLU` emits the
+    pooled bits equal gathering ``x`` at that argmax; on raw inputs they
+    can differ in the sign of a zero or a NaN (``tests/test_layers.py``).
+    """
+    return x.max(axis=axis)
 
 
 def max_pool_backward(

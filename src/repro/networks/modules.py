@@ -29,7 +29,15 @@ import numpy as np
 
 from ..core import dispatch
 from .backends import PointOpsBackend
-from .layers import Dense, Module, ReLU, SharedMLP, max_pool, max_pool_backward
+from .layers import (
+    Dense,
+    Module,
+    ReLU,
+    SharedMLP,
+    forward_only_active,
+    max_pool,
+    max_pool_backward,
+)
 
 __all__ = ["SAStage", "GlobalSA", "FPStage", "InvResBlock"]
 
@@ -145,7 +153,7 @@ class SAStage(Module):
         else:
             h = self.mlp.forward(x[neighbors])
 
-        pooled_max, arg = max_pool(h, axis=1)
+        pooled_max = max_pool(h, axis=1)
         if self.pooling == "maxmean":
             pooled_mean = h.mean(axis=1)
             fused = self.fuse_act.forward(
@@ -157,11 +165,11 @@ class SAStage(Module):
         for block in self.post:
             out = block.forward(out)
 
-        self._ctx = {
+        self._ctx = None if forward_only_active() else {
             "n": len(x),
             "mode": mode,
             "neighbors": neighbors,
-            "arg": arg,
+            "arg": np.argmax(h, axis=1),
             "h_shape": h.shape,
             "has_feats": feats is not None,
         }
@@ -219,15 +227,16 @@ class GlobalSA(Module):
     def forward(self, coords: np.ndarray, feats: np.ndarray) -> np.ndarray:
         x = np.concatenate([coords, feats], axis=1)
         h = self.mlp.forward(x)
-        pooled, arg = max_pool(h[None, :, :], axis=1)
-        self._ctx = {"arg": arg, "h_shape": (1,) + h.shape, "n": len(coords)}
-        return pooled[0]
+        self._ctx = None if forward_only_active() else {
+            "arg": np.argmax(h, axis=0), "h_shape": h.shape
+        }
+        return max_pool(h, axis=0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         ctx = self._ctx
         if ctx is None:
             raise RuntimeError("backward called before forward")
-        grad_h = max_pool_backward(grad_out[None, :], ctx["arg"], ctx["h_shape"], axis=1)[0]
+        grad_h = max_pool_backward(grad_out, ctx["arg"], ctx["h_shape"], axis=0)
         grad_x = self.mlp.backward(grad_h)
         return grad_x[:, 3:]  # drop the coords part
 
@@ -280,7 +289,7 @@ class FPStage(Module):
         else:
             x = interp
         out = self.mlp.forward(x)
-        self._ctx = {
+        self._ctx = None if forward_only_active() else {
             "rows": rows,
             "weights": weights,
             "n_sparse": len(sparse_indices),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backends import PointOpsBackend
-from .layers import Module
+from .layers import Module, forward_only_active
 from .modules import SAStage
 
 __all__ = ["SAStageMSG"]
@@ -68,7 +68,7 @@ class SAStageMSG(Module):
         n_out = min(self.n_out, len(coords))
         centers = backend.sample(coords, n_out)
         out = self.compute(coords, feats, backend, centers, agg=agg)
-        self._ctx = {"n_scales": len(self.stages)}
+        self._ctx = None if forward_only_active() else {"n_scales": len(self.stages)}
         return coords[centers], out, centers
 
     def compute(

@@ -13,7 +13,9 @@ never ``allclose``):
 3. multi-tenant serving with per-tenant models stays bit-identical to
    the offline reference, whatever the window composition;
 4. a hypothesis sweep over ragged size mixes keeps obligation 2 true for
-   arbitrary fused-bucket shapes.
+   arbitrary fused-bucket shapes;
+5. served forwards are forward-only: they leave no activations on the
+   model, so one shared instance serves concurrent threads.
 """
 
 import threading
@@ -23,7 +25,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import dispatch
-from repro.infer import MODEL_NAMES, model_spec, run_offline
+from repro.infer import (
+    MODEL_NAMES,
+    get_model,
+    model_spec,
+    run_fused,
+    run_model,
+    run_offline,
+)
+from repro.networks import make_backend
+from repro.networks.layers import Module
 from repro.runtime import BatchExecutor, PipelineSpec
 from repro.serve import MultiTenantServer, TenantSpec
 
@@ -46,22 +57,39 @@ class TestRegistry:
         with pytest.raises(ValueError, match="agg"):
             PipelineSpec(model="pointnet2-cls", agg="lazy")
 
-    def test_thread_local_instances_are_bit_identical(self):
-        """Deterministic seeds: which thread serves a request never shows."""
-        coords = make_cloud(120, seed=0)
-        outs = {}
+    def test_shared_instance_serves_threads_bit_identically(self):
+        """One instance per name; threads forwarding on it at once each
+        get exactly the serial run's bits."""
+        clouds = [make_cloud(n, seed=20 + n) for n in SIZES]
+        serial = {
+            name: [run_offline(name, c) for c in clouds] for name in MODEL_NAMES
+        }
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        outs, instances = {}, {}
 
         def worker(tag):
-            outs[tag] = run_offline("pointnet2-cls", coords)
+            # Rotate the model order so different models overlap in time.
+            names = MODEL_NAMES[tag:] + MODEL_NAMES[:tag]
+            instances[tag] = [id(get_model(name)) for name in MODEL_NAMES]
+            start.wait()
+            outs[tag] = {
+                name: [run_offline(name, c) for c in clouds] for name in names
+            }
 
         threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(2)
+            threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert np.array_equal(outs[0], outs[1])
+        shared = [id(get_model(name)) for name in MODEL_NAMES]
+        assert all(ids == shared for ids in instances.values())
+        for tag in range(n_threads):
+            for name in MODEL_NAMES:
+                for got, ref in zip(outs[tag][name], serial[name]):
+                    assert np.array_equal(got, ref)
 
 
 class TestAggDispatch:
@@ -200,3 +228,53 @@ class TestServedInference:
             for emission, coords in zip(per_tenant[name], clouds):
                 ref = run_offline(model, coords, agg="delayed")
                 assert np.array_equal(emission.result.model_output, ref)
+
+
+def reachable_modules(module: Module):
+    """``module`` and every module under it, walked like ``parameters()``."""
+    yield module
+    for attr in vars(module).values():
+        for item in attr if isinstance(attr, (list, tuple)) else (attr,):
+            if isinstance(item, Module):
+                yield from reachable_modules(item)
+
+
+def held_state(model: Module) -> list[tuple[str, str]]:
+    """``(module type, slot)`` of every backward cache that holds data."""
+    return [
+        (type(module).__name__, slot)
+        for module in reachable_modules(model)
+        for slot in ("_x", "_mask", "_ctx")
+        if isinstance(getattr(module, slot, None), (np.ndarray, dict))
+    ]
+
+
+class TestForwardOnly:
+    """Served forwards keep nothing a backward pass would need."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_served_forwards_leave_no_activations(self, name):
+        clouds = [make_cloud(n, seed=60 + n) for n in SIZES]
+        engine = BatchExecutor("fractal")
+        # A training-style forward fills the caches the walk looks at.
+        trained = model_spec(name).build()
+        trained.forward(clouds[0], make_backend("fractal"))
+        assert held_state(trained)
+
+        run_fused(name, [(i, c, None) for i, c in enumerate(clouds)], engine.cache)
+        assert held_state(get_model(name)) == []
+        run_offline(name, clouds[1])
+        assert held_state(get_model(name)) == []
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_backward_after_served_forward_raises(self, name):
+        model = model_spec(name).build()
+        coords = make_cloud(120, seed=4)
+        backend = make_backend("fractal")
+        out = model.forward(coords, backend)
+        model.backward(np.ones_like(out))
+        # The served forward drops what the training forward cached.
+        out = run_model(model, coords, None, backend)
+        assert held_state(model) == []
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.ones_like(out))

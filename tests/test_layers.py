@@ -1,10 +1,35 @@
 """Numerical gradient checks for the numpy NN layers."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.networks import Adam, Dense, Parameter, ReLU, SharedMLP, softmax_cross_entropy
-from repro.networks.layers import max_pool, max_pool_backward
+from repro.networks.layers import (
+    forward_only,
+    forward_only_active,
+    max_pool,
+    max_pool_backward,
+)
+
+#: Pooling inputs built from few values, so windows hold ties, both
+#: signed zeros, NaNs of both signs and both infinities.
+POOL_VALUES = st.sampled_from(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5, 5e-324]
+)
+
+
+def argmax_gather(x, axis):
+    """The pooling rule before forward-only serving: gather at argmax."""
+    arg = np.expand_dims(np.argmax(x, axis=axis), axis)
+    return np.take_along_axis(x, arg, axis=axis).squeeze(axis)
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -113,7 +138,7 @@ class TestSharedMLP:
 class TestMaxPool:
     def test_pool_and_scatter(self, rng):
         x = rng.normal(size=(4, 6, 3))
-        pooled, arg = max_pool(x, axis=1)
+        pooled, arg = max_pool(x, axis=1), np.argmax(x, axis=1)
         assert pooled.shape == (4, 3)
         assert np.allclose(pooled, x.max(axis=1))
         grad = rng.normal(size=(4, 3))
@@ -126,12 +151,71 @@ class TestMaxPool:
         target = rng.normal(size=(3, 2))
 
         def loss():
-            pooled, _ = max_pool(x, axis=1)
-            return 0.5 * np.sum((pooled - target) ** 2)
+            return 0.5 * np.sum((max_pool(x, axis=1) - target) ** 2)
 
-        pooled, arg = max_pool(x, axis=1)
+        pooled, arg = max_pool(x, axis=1), np.argmax(x, axis=1)
         grad = max_pool_backward(pooled - target, arg, x.shape, axis=1)
         assert np.allclose(grad, numeric_grad(loss, x), atol=1e-5)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3),
+                     elements=POOL_VALUES),
+        data=st.data(),
+    )
+    def test_max_equals_argmax_gather(self, x, data):
+        """``x.max`` reproduces the argmax gather on what pooling sees.
+
+        Every pooled tensor in the models is a ReLU output, and there the
+        bits are equal: ``np.where(x > 0, x, 0.0)`` leaves no -0.0 and no
+        NaN.  On raw inputs the values agree, but a window mixing +0.0
+        and -0.0 (or NaNs of both signs) may keep a different sign.
+        """
+        axis = data.draw(st.integers(0, x.ndim - 1))
+        relu = ReLU().forward(x)
+        assert np.array_equal(bits(max_pool(relu, axis)), bits(argmax_gather(relu, axis)))
+        pooled, gathered = max_pool(x, axis), argmax_gather(x, axis)
+        assert np.array_equal(pooled, gathered, equal_nan=True)
+        differ = bits(pooled) != bits(gathered)
+        assert ((pooled[differ] == 0) | np.isnan(pooled[differ])).all()
+
+    def test_signed_zero_tie_is_why_relu_keeps_np_where(self):
+        """The raw-input divergence the ReLU rule keeps out of pooling."""
+        x = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert (bits(max_pool(x, 1)) != bits(argmax_gather(x, 1))).any()
+        relu = ReLU().forward(x)
+        assert np.array_equal(bits(max_pool(relu, 1)), bits(argmax_gather(relu, 1)))
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("rows", [1, 5])  # 1: the padded GEMM path
+    def test_same_bits_and_no_cache(self, rng, rows):
+        mlp = SharedMLP([3, 8, 4], rng)
+        x = rng.normal(size=(rows, 3))
+
+        def caches():
+            return [l._x if isinstance(l, Dense) else l._mask for l in mlp.layers]
+
+        ref = mlp.forward(x)
+        assert all(c is not None for c in caches())
+        with forward_only():
+            out = mlp.forward(x)
+        assert np.array_equal(bits(out), bits(ref))
+        assert all(c is None for c in caches())
+        with pytest.raises(RuntimeError, match="before forward"):
+            mlp.backward(np.ones_like(out))
+
+    def test_nests_and_is_per_thread(self):
+        seen = []
+        with forward_only():
+            with forward_only():
+                assert forward_only_active()
+            assert forward_only_active()
+            other = threading.Thread(target=lambda: seen.append(forward_only_active()))
+            other.start()
+            other.join()
+        assert not forward_only_active()
+        assert seen == [False]
 
 
 class TestSoftmaxCE:
