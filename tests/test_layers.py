@@ -179,13 +179,6 @@ class TestMaxPool:
         differ = bits(pooled) != bits(gathered)
         assert ((pooled[differ] == 0) | np.isnan(pooled[differ])).all()
 
-    def test_signed_zero_tie_is_why_relu_keeps_np_where(self):
-        """The raw-input divergence the ReLU rule keeps out of pooling."""
-        x = np.array([[-0.0, 0.0], [0.0, -0.0]])
-        assert (bits(max_pool(x, 1)) != bits(argmax_gather(x, 1))).any()
-        relu = ReLU().forward(x)
-        assert np.array_equal(bits(max_pool(relu, 1)), bits(argmax_gather(relu, 1)))
-
 
 class TestForwardOnly:
     @pytest.mark.parametrize("rows", [1, 5])  # 1: the padded GEMM path
