@@ -22,7 +22,7 @@ Six subcommands cover the common workflows without writing any code:
   ``--shards N`` replaces the in-process server with the sharded
   front-end (:mod:`repro.shard`): a consistent-hash router over N
   engine worker processes with shared-memory array transport
-  (``--transport shm|pickle``, ``--affinity content|stream``).
+  (``--transport shm|pickle``).
   ``--trace out.json`` records an end-to-end span tree (router →
   worker → engine → kernels) as Chrome ``trace_event`` JSON;
   ``--metrics`` dumps the Prometheus exposition at exit.
@@ -30,7 +30,7 @@ Six subcommands cover the common workflows without writing any code:
   engine (``--agg delayed|eager`` picks the set-abstraction
   aggregation order; outputs are bit-identical either way).
 - ``trace`` — offline trace tooling: ``repro trace summarize out.json``
-  prints the per-stage self-time breakdown (build/patch vs. per-op
+  prints the per-stage self-time breakdown (build vs. per-op
   kernels vs. transport vs. queueing) and gates on stage-total
   coverage of the traced wall time.
 - ``lint`` — the project-invariant static analyzer
@@ -50,7 +50,6 @@ import numpy as np
 from . import obs
 
 from .analysis import format_table
-from .core.delta import PatchPolicy
 from .datasets import DATASET_NAMES, load_cloud, scale_points
 from .hw import AcceleratorSim, GPUModel, SOTA_CONFIGS
 from .infer import MODEL_NAMES, model_spec
@@ -259,10 +258,9 @@ def _obs_dump(args: argparse.Namespace) -> None:
 def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
     """``repro serve --shards N``: the consistent-hash router front-end.
 
-    Tagged (multi-tenant) streams route by their stream tag under
-    ``--affinity stream``; untagged traffic defaults to content affinity
-    so hot assets pin to shards.  Results stay bit-identical to the
-    single-process server over the same stream.
+    Requests route by content digest, so hot assets pin to shards.
+    Results stay bit-identical to the single-process server over the
+    same stream.
     """
     from .shard import ShardRouter
 
@@ -271,12 +269,6 @@ def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
         block_size=args.block_size,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
-        delta=args.delta,
-        delta_policy=(
-            PatchPolicy(motion_threshold=args.motion_threshold)
-            if args.delta
-            else None
-        ),
     )
     pipeline = PipelineSpec(
         sample_ratio=args.sample_ratio,
@@ -290,7 +282,6 @@ def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
         engine=engine_kwargs,
         pipeline=pipeline,
         transport=args.transport,
-        affinity=args.affinity,
         arena_bytes=args.arena_mb << 20,
         max_clouds=args.window,
         max_in_flight=args.in_flight if args.in_flight > 0 else 4 * args.shards,
@@ -300,9 +291,8 @@ def _serve_sharded(args: argparse.Namespace, source, tenants: int) -> int:
     )
     print(
         f"serve: {args.shards} shards over {args.transport} transport "
-        f"({router.affinity} affinity) on {args.partitioner} "
+        f"on {args.partitioner} "
         f"(window {args.window}, in-flight {router.max_in_flight}"
-        + (", delta" if args.delta else "")
         + (f", {tenants} tenants" if tenants else "")
         + (f", model {args.model} [{args.agg}]" if args.model else "")
         + ")"
@@ -391,12 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         in_flight=args.in_flight if args.in_flight != 0 else None,
         fuse_max_points=args.fuse_max_points if args.fuse_max_points > 0 else None,
         fuse_max_spread=args.fuse_max_spread if args.fuse_max_spread > 0 else None,
-        delta=args.delta,
-        delta_policy=(
-            PatchPolicy(motion_threshold=args.motion_threshold)
-            if args.delta
-            else None
-        ),
     )
     pipeline = PipelineSpec(
         sample_ratio=args.sample_ratio,
@@ -411,7 +395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serve: window {args.window} clouds / {args.max_wait_ms:.0f} ms "
         f"on {args.partitioner} (in-flight {engine.in_flight}"
-        + (", delta" if args.delta else "")
         + (f", {tenants} tenants" if tenants else "")
         + (f", model {','.join(models)} [{args.agg}]" if models else "")
         + ")"
@@ -601,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sinusoidally, 'adversarial' emits spread mixes "
                         "that defeat best-fit-decreasing packing, 'frames' "
                         "evolves one sensor cloud per frame (bounded "
-                        "motion + tail churn — the delta-protocol stream), "
+                        "motion + tail churn), "
                         "'hotset' draws a --hot-rate fraction of requests "
                         "from a fixed catalog of --hot-assets clouds (the "
                         "content-affine sharding workload), 'inference' "
@@ -672,13 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "results through shared-memory arenas (two copies "
                         "end to end), 'pickle' ships them inline through "
                         "the queues (the baseline)")
-    p.add_argument("--affinity", choices=["auto", "content", "stream"],
-                   default="auto",
-                   help="sharded routing key: 'content' pins repeated "
-                        "clouds to one shard (hot-asset caching), 'stream' "
-                        "pins each tenant/sensor stream (keeps --delta "
-                        "patching shard-local); 'auto' = stream when "
-                        "--delta else content")
     p.add_argument("--arena-mb", type=int, default=64,
                    help="sharded shm transport: arena size in MiB (one "
                         "request arena per shard + one response arena per "
@@ -702,14 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "serving counters/gauges/histograms at exit")
     p.add_argument("--partitioner", choices=PARTITIONER_NAMES, default="fractal")
     p.add_argument("--block-size", type=int, default=256)
-    p.add_argument("--delta", action="store_true",
-                   help="streaming-frames delta protocol: serve near-miss "
-                        "frames by certificate-verified reuse or "
-                        "incremental patching of a cached partition "
-                        "(bit-identical to a rebuild)")
-    p.add_argument("--motion-threshold", type=float, default=0.1,
-                   help="delta protocol: max per-point drift a frame may "
-                        "show and still qualify for reuse/patching")
     p.add_argument("--fuse-max-points", type=int, default=262_144,
                    help="fused-bucket point budget (0 = unbounded)")
     p.add_argument("--fuse-max-spread", type=float, default=4.0,

@@ -12,8 +12,6 @@
 - :mod:`repro.core.dispatch` — the kernel registry; FPS chooses
   ``loop | ragged`` per call by its step rule, every other op has one
   implementation.
-- :mod:`repro.core.delta` — frame deltas, rebuild certificates, and the
-  incremental-update glue of the streaming-frames protocol.
 """
 
 from .blocks import Block, BlockStructure, PartitionCost
@@ -31,13 +29,6 @@ from .config import (
     DEFAULT_LARGE_SCALE_THRESHOLD,
     DEFAULT_SMALL_SCALE_THRESHOLD,
     FractalConfig,
-)
-from .delta import (
-    FrameDelta,
-    PatchPolicy,
-    attach_certificate,
-    certificate_of,
-    updater_from_certificate,
 )
 from .dispatch import (
     BUILD_KERNEL_NAMES,
@@ -66,16 +57,12 @@ __all__ = [
     "FractalConfig",
     "FractalNode",
     "FractalTree",
-    "FrameDelta",
     "KERNELS",
     "KERNEL_NAMES",
     "OpTrace",
     "PartitionCost",
-    "PatchPolicy",
     "RaggedBlocks",
     "allocate_samples",
-    "attach_certificate",
-    "certificate_of",
     "block_ball_query",
     "block_fps",
     "block_gather",
@@ -94,5 +81,4 @@ __all__ = [
     "run_op",
     "save_block_structure",
     "save_tree",
-    "updater_from_certificate",
 ]

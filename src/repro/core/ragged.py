@@ -86,11 +86,8 @@ __all__ = [
 def _content_digest(coords: np.ndarray) -> bytes:
     """Exact float64 content fingerprint of a coordinate array.
 
-    The partition cache keys structures at float32 resolution (any
-    partition of the right index set is valid), so one structure may be
-    replayed for float64-*distinct* clouds; the ragged layout, however,
-    carries the coordinates themselves and must be rebuilt when they
-    change.  Hashing at full precision keeps the memo safe.
+    The ragged layout carries the coordinates themselves, so the memo on
+    a structure must be rebuilt whenever they change, by even one ulp.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(coords.shape).encode())
@@ -265,10 +262,9 @@ def ragged_of(structure: BlockStructure, coords: np.ndarray) -> RaggedBlocks:
     layout along for free.  Revalidation is two-tier: the common case —
     the *same array object* across the ops of one pipeline pass — is an
     identity check; a different array revalidates by full-precision
-    content digest, which guards against replaying a layout for a
-    float32-equal but float64-distinct cloud (the partition cache keys
-    structures at float32).  The identity shortcut assumes callers do not
-    mutate a cloud in place between ops on it — the same contract every
+    content digest, so the memo is never replayed for other
+    coordinates.  The identity shortcut assumes callers do not mutate a
+    cloud in place between ops on it — the same contract every
     content-keyed cache here already relies on.
     """
     coords = np.asarray(coords, dtype=np.float64)

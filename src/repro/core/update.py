@@ -169,70 +169,6 @@ class FractalUpdater:
             if leaf.is_leaf and self._live(leaf):
                 self._maybe_merge(leaf)
 
-    def move(self, ids: np.ndarray, new_coords: np.ndarray) -> int:
-        """Move live points to new coordinates; returns the re-home count.
-
-        The common streaming case — sensor jitter — leaves most points
-        inside their leaf's half-spaces, so the routing is done for the
-        whole batch at once (one vectorized descent with the old and the
-        new coordinates) and only the *crossers* pay bookkeeping — one
-        bulk membership update per source and destination leaf, with the
-        usual split/merge maintenance afterwards.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        new_coords = np.asarray(new_coords, dtype=np.float64).reshape(-1, 3)
-        if len(ids) != len(new_coords):
-            raise ValueError("ids and new_coords must have equal length")
-        if len(ids) == 0:
-            return 0
-        if np.any(ids < 0) or np.any(ids >= len(self._alive)) or not np.all(
-            self._alive[ids]
-        ):
-            raise KeyError("move() requires live point ids")
-        src_groups = self._route_groups(self._coords[ids])
-        self._coords[ids] = new_coords
-        dst_groups = self._route_groups(new_coords)
-        self.stats.points_routed += len(ids)
-        # Leaf-identity labels per point: crossers are the rows whose
-        # source and destination labels differ — one array compare
-        # instead of a per-point identity loop.
-        labels: dict[int, int] = {}
-        src_label = np.empty(len(ids), dtype=np.int64)
-        dst_label = np.empty(len(ids), dtype=np.int64)
-        for groups, label_arr in ((src_groups, src_label), (dst_groups, dst_label)):
-            for leaf, rows in groups:
-                label_arr[rows] = labels.setdefault(id(leaf), len(labels))
-        crossing = src_label != dst_label
-        crossed = int(crossing.sum())
-        if not crossed:
-            return 0
-        for leaf, rows in src_groups:
-            moved_out = rows[crossing[rows]]
-            if len(moved_out):
-                leaf.members.difference_update(ids[moved_out].tolist())
-        for leaf, rows in dst_groups:
-            moved_in = rows[crossing[rows]]
-            if len(moved_in):
-                leaf.members.update(ids[moved_in].tolist())
-        for leaf, rows in dst_groups:
-            if (
-                crossing[rows].any()
-                and leaf.is_leaf
-                and len(leaf.members) > self.config.threshold
-            ):
-                self._split_leaf(leaf)
-        for leaf, rows in src_groups:
-            if crossing[rows].any() and leaf.is_leaf and self._live(leaf):
-                self._maybe_merge(leaf)
-        return crossed
-
-    def _route(self, point: np.ndarray) -> _Node:
-        node = self._root
-        while not node.is_leaf:
-            self.stats.comparisons += 1
-            node = node.left if point[node.dim] <= node.mid else node.right
-        return node
-
     def _route_groups(self, pts: np.ndarray) -> list[tuple[_Node, np.ndarray]]:
         """``(leaf, rows)`` batches of ``pts`` via one vectorized descent.
 
@@ -260,14 +196,6 @@ class FractalUpdater:
             if len(right_rows):
                 stack.append((node.right, right_rows))
         return groups
-
-    def _route_many(self, pts: np.ndarray) -> list[_Node]:
-        """Leaf of each row of ``pts`` (kept for per-point consumers)."""
-        out: list[Optional[_Node]] = [None] * len(pts)
-        for leaf, rows in self._route_groups(pts):
-            for r in rows.tolist():
-                out[r] = leaf
-        return out
 
     @staticmethod
     def _live(leaf: _Node) -> bool:

@@ -20,7 +20,7 @@ Span naming convention (see CONTRIBUTING): ``<layer>.<what>`` —
 ``serve.request``, ``serve.window``, ``serve.wait``, ``shard.window``,
 ``shard.serialize``, ``transport.pack`` / ``transport.unpack``,
 ``engine.window`` / ``engine.fused``,
-``partition.build`` / ``partition.patch``, ``build.<kernel>``,
+``partition.build``, ``build.<kernel>``,
 ``op.<op>``.  Metric names: ``repro_<layer>_<what>[_<unit>]``.
 """
 

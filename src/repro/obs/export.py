@@ -44,7 +44,7 @@ def stage_of(name: str) -> str:
     """Map a span name onto a reporting stage.
 
     Per-op spans keep their own row (``op.fps`` vs ``op.knn`` is the
-    interesting split); build/patch/transport/queueing aggregate.  A
+    interesting split); build/transport/queueing aggregate.  A
     request span's *self* time — pipe latency plus the worker's queue —
     is queueing by definition: nothing else was running on its behalf.
     """
@@ -56,8 +56,6 @@ def stage_of(name: str) -> str:
         return name
     if name == "partition.build":
         return "build"
-    if name == "partition.patch":
-        return "patch"
     if name == "shard.serialize" or name.startswith("transport."):
         return "transport"
     if name in ("serve.wait", "serve.request"):

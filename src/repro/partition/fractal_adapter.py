@@ -9,7 +9,6 @@ import numpy as np
 
 from ..core.blocks import BlockStructure
 from ..core.config import FractalConfig
-from ..core.delta import FractalCertificate, attach_certificate
 from ..core.fractal import fractal_partition
 from .base import Partitioner
 
@@ -31,7 +30,4 @@ class FractalPartitioner(Partitioner):
         self.config = config or FractalConfig(threshold=threshold)
 
     def partition(self, coords: np.ndarray) -> BlockStructure:
-        tree = fractal_partition(coords, self.config)
-        structure = tree.block_structure()
-        attach_certificate(structure, FractalCertificate.from_tree(tree, self.config))
-        return structure
+        return fractal_partition(coords, self.config).block_structure()

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.blocks import Block, BlockStructure, PartitionCost
-from ..core.delta import KDTreeCertificate, attach_certificate
 from .base import Partitioner
 
 __all__ = ["KDTreePartitioner", "KDNode"]
@@ -100,15 +99,13 @@ class KDTreePartitioner(Partitioner):
                 spaces.append(np.sort(leaf.parent.indices))
             else:
                 spaces.append(np.sort(leaf.indices))
-        structure = BlockStructure(
+        return BlockStructure(
             num_points=n,
             blocks=blocks,
             search_spaces=spaces,
             cost=cost,
             strategy=self.name,
         )
-        attach_certificate(structure, KDTreeCertificate.from_tree(root, leaves))
-        return structure
 
     @staticmethod
     def _collect_leaves(root: KDNode) -> list[KDNode]:

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.blocks import Block, BlockStructure, PartitionCost
-from ..core.delta import OctreeCertificate, attach_certificate
 from .base import Partitioner
 
 __all__ = ["OctreePartitioner", "OctreeNode"]
@@ -38,8 +37,6 @@ class OctreeNode:
     hi: np.ndarray
     children: list["OctreeNode"] = field(default_factory=list)
     parent: Optional["OctreeNode"] = field(default=None, repr=False)
-    #: Octant code within the parent cell (root: -1).
-    code: int = -1
 
     @property
     def is_leaf(self) -> bool:
@@ -102,7 +99,7 @@ class OctreePartitioner(Partitioner):
                     ).astype(np.float64)
                     child = OctreeNode(
                         node.indices[mask], node.depth + 1, child_lo, child_hi,
-                        parent=node, code=code,
+                        parent=node,
                     )
                     node.children.append(child)
                     if len(child.indices) > self.max_leaf_size:
@@ -113,20 +110,13 @@ class OctreePartitioner(Partitioner):
         leaves = self._collect_leaves(root)
         blocks = [Block(np.sort(leaf.indices), depth=max(leaf.depth, 1)) for leaf in leaves]
         spaces = [b.indices for b in blocks]
-        structure = BlockStructure(
+        return BlockStructure(
             num_points=n,
             blocks=blocks,
             search_spaces=spaces,
             cost=cost,
             strategy=self.name,
         )
-        attach_certificate(
-            structure,
-            OctreeCertificate.from_tree(
-                root, leaves, self.max_leaf_size, self.max_depth
-            ),
-        )
-        return structure
 
     @staticmethod
     def _collect_leaves(root: OctreeNode) -> list[OctreeNode]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.blocks import Block, BlockStructure, PartitionCost
-from ..core.delta import GridCertificate, attach_certificate
 from .base import Partitioner
 
 __all__ = ["UniformPartitioner"]
@@ -71,12 +70,10 @@ class UniformPartitioner(Partitioner):
         blocks = [Block(np.sort(g).astype(np.int64), depth=1) for g in groups]
         spaces = [b.indices for b in blocks]
         cost = PartitionCost(passes=[n], levels=1)
-        structure = BlockStructure(
+        return BlockStructure(
             num_points=n,
             blocks=blocks,
             search_spaces=spaces,
             cost=cost,
             strategy=self.name,
         )
-        attach_certificate(structure, GridCertificate(cell_id, r))
-        return structure

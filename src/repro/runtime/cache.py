@@ -7,22 +7,8 @@ Partitioning is the preprocessing cost the paper works so hard to bound
 frames of a slow-moving sensor, retries, popular assets — so the runtime
 keys finished :class:`~repro.core.blocks.BlockStructure` objects by a
 content hash of the coordinates and replays them instead of re-sorting.
-The cache is a thread-safe LRU: the batched executor shares one instance
-across its worker threads.
-
-With a :class:`~repro.core.delta.PatchPolicy` attached, the cache also
-serves *near* misses — the streaming-frames case where every frame of a
-moving sensor hashes differently but barely moved.  :meth:`acquire`
-then scans the most recent entries for a frame-delta match and either
-
-- **reuses** the cached structure outright when its rebuild certificate
-  proves a from-scratch build of the new coordinates would reproduce it
-  bit for bit (jitter under the motion threshold), or
-- **patches** it through the incremental fractal updater
-  (:mod:`repro.core.update`) for insert/delete/move churn, or
-- falls back to a full **cold** build when drift exceeds the policy
-  bounds, the certificate fails, or a patch does not survive its own
-  sanity checks — never to a wrong structure.
+The cache is a thread-safe LRU keyed by the exact float64 content, so
+a structure is only ever replayed for the cloud it was built from.
 
 Whole *results* are deduplicated one level up, by :class:`ResultWindow`:
 an exact repeat (same :func:`result_key`) is never recomputed but
@@ -38,23 +24,15 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .. import obs
-from ..core.delta import (
-    FractalCertificate,
-    FrameDelta,
-    PatchPolicy,
-    certificate_of,
-    updater_from_certificate,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.blocks import BlockStructure
     from ..core.ragged import RaggedBlocks
-    from ..core.update import FractalUpdater
     from .executor import CloudResult
 
 __all__ = ["content_key", "result_key", "replayed", "ResultWindow",
@@ -79,45 +57,37 @@ def clear_all_partition_caches() -> int:
     return len(caches)
 
 
-def content_key(coords: np.ndarray, *, dtype=np.float32) -> bytes:
-    """Digest identifying an array by content.
+def content_key(coords: np.ndarray) -> bytes:
+    """Digest identifying an array by its exact float64 content.
 
-    The default float32 rendering suits the *partition* cache: partition
-    decisions are far coarser than float32 resolution, and any partition
-    of the right index set is valid.  Callers that replay full results
-    (request deduplication) must pass ``dtype=np.float64`` — at float32
-    two distinct float64 clouds could collide and the second would
-    silently receive the first one's results.  The shape is hashed too,
-    so arrays differing only in length never collide with a prefix, and
-    so are the input and rendered dtypes: same-shape arrays whose raw
-    bytes happen to agree under different dtypes (all-zero int64 vs
-    all-zero float64) must never share a key, and digests produced at
-    different renderings must never collide in a shared map.
+    Both the partition cache and request deduplication key through
+    here.  A coarser rendering would let two clouds that differ below
+    its resolution share one entry, and the second would silently
+    receive a partition (or result) computed for the first.  The shape
+    is hashed, so arrays differing only in length never collide with a
+    prefix, and so is the input dtype: same-shape arrays whose values
+    agree under different dtypes (all-zero int64 vs all-zero float64)
+    never share a key.
     """
     coords = np.asarray(coords)
-    source_dtype = coords.dtype.str
-    coords = np.ascontiguousarray(coords, dtype=dtype)
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(source_dtype.encode())
     digest.update(coords.dtype.str.encode())
     digest.update(str(coords.shape).encode())
-    digest.update(coords.tobytes())
+    digest.update(np.ascontiguousarray(coords, dtype=np.float64).tobytes())
     return digest.digest()
 
 
 def result_key(coords: np.ndarray, features: np.ndarray | None) -> bytes:
-    """The request-deduplication identity of one cloud.
+    """The request-deduplication identity of one cloud: the
+    :func:`content_key` of coords, plus that of features when present.
 
-    Exact float64 content of coords + features — replaying a *result*
-    for a merely float32-equal cloud would be wrong (the pipeline
-    computes in float64).  Every dedup surface (``stream()``,
-    ``run(fuse=True)``, the windowed and tenant servers, the shard
-    worker) must key through here so their replay decisions can never
-    diverge.
+    Every dedup surface (``stream()``, ``run(fuse=True)``, the windowed
+    and tenant servers, the shard worker) must key through here so
+    their replay decisions can never diverge.
     """
-    key = content_key(coords, dtype=np.float64)
+    key = content_key(coords)
     if features is not None:
-        key += content_key(features, dtype=np.float64)
+        key += content_key(features)
     return key
 
 
@@ -212,24 +182,6 @@ class ResultWindow:
         self._done.clear()
 
 
-@dataclass
-class _Entry:
-    """One cached partition plus the state the delta protocol needs.
-
-    ``coords``/``patcher``/``live_ids`` stay ``None`` unless a patch
-    policy is attached — the exact-hit path never pays for them.  The
-    patcher is *consumed* by the patch that uses it (ownership moves to
-    the patched entry); a later near-match of the same entry rebuilds
-    one from the certificate instead, so a mutated updater can never be
-    applied twice.
-    """
-
-    structure: "BlockStructure"
-    coords: Optional[np.ndarray] = None
-    patcher: Optional["FractalUpdater"] = None
-    live_ids: Optional[np.ndarray] = None
-
-
 class PartitionCache:
     """Thread-safe LRU of partition results keyed by cloud content.
 
@@ -239,109 +191,61 @@ class PartitionCache:
             Partitioner` qualifies).
         maxsize: retained structures; least-recently-used entries are
             evicted first.
-        policy: a :class:`~repro.core.delta.PatchPolicy` enabling the
-            near-miss delta protocol (off by default: ``None``).
     """
 
     def __init__(
         self,
         partitioner: Callable[[np.ndarray], "BlockStructure"],
         maxsize: int = 64,
-        *,
-        policy: PatchPolicy | None = None,
     ):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.partitioner = partitioner
         self.maxsize = maxsize
-        self.policy = policy
         self.hits = 0
         self.misses = 0
-        self.patches = 0
-        self.delta_reuses = 0
-        self._entries: OrderedDict[bytes, _Entry] = OrderedDict()
+        self._entries: OrderedDict[bytes, "BlockStructure"] = OrderedDict()
         self._lock = threading.Lock()
         _ALL_CACHES.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def cold_builds(self) -> int:
-        """Misses that paid a full build (miss minus patched/reused)."""
-        return self.misses - self.patches - self.delta_reuses
-
     def get(self, coords: np.ndarray) -> tuple["BlockStructure", bool]:
-        """Return ``(structure, was_cached)`` for ``coords``.
-
-        ``was_cached`` reports exact (warm) hits only; with a patch
-        policy attached a near-miss may still be served delta-patched —
-        callers that care about the full outcome use :meth:`acquire`.
-        """
+        """Return ``(structure, was_cached)`` for ``coords``."""
         structure, outcome = self.acquire(coords)
         return structure, outcome == "warm"
 
     def acquire(self, coords: np.ndarray) -> tuple["BlockStructure", str]:
         """Serve ``coords``, reporting how: ``(structure, outcome)``.
 
-        ``outcome`` is ``"warm"`` (exact hit), ``"reused"``
-        (certificate-verified reuse of a near-match — bit-identical to a
-        rebuild), ``"patched"`` (incremental updater absorbed the frame
-        delta), or ``"cold"`` (full build).
+        ``outcome`` is ``"warm"`` (exact hit) or ``"cold"`` (full build).
 
         The partitioner runs outside the lock, so concurrent misses on
         the same new cloud may both partition it (identical results, one
-        wasted computation) — cheaper than serialising every worker
+        wasted computation) — cheaper than serialising every caller
         behind the partitioner.
         """
         key = content_key(coords)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            structure = self._entries.get(key)
+            if structure is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 obs.inc("repro_partitions_warm")
-                return entry.structure, "warm"
+                return structure, "warm"
             self.misses += 1
-            candidates = (
-                list(reversed(self._entries.values()))[: self.policy.candidates]
-                if self.policy is not None
-                else []
-            )
-        if candidates:
-            new64 = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-            with (
-                obs.span("partition.patch", candidates=len(candidates))
-                if obs.enabled()
-                else obs.NULL_SPAN
-            ) as patch_span:
-                for entry in candidates:
-                    patched = self._try_patch(entry, new64)
-                    if patched is None:
-                        continue
-                    structure, outcome, new_entry = patched
-                    patch_span.annotate(outcome=outcome)
-                    with self._lock:
-                        if outcome == "reused":
-                            self.delta_reuses += 1
-                        else:
-                            self.patches += 1
-                        self._store(key, new_entry)
-                    obs.inc(f"repro_partitions_{outcome}")
-                    return structure, outcome
         with (
             obs.span("partition.build", points=len(coords))
             if obs.enabled()
             else obs.NULL_SPAN
         ):
             structure = self.partitioner(coords)
-        entry_coords = (
-            np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-            if self.policy is not None
-            else None
-        )
         with self._lock:
-            self._store(key, _Entry(structure, entry_coords))
+            self._entries[key] = structure
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
         obs.inc("repro_partitions_cold")
         return structure, "cold"
 
@@ -361,7 +265,7 @@ class PartitionCache:
     def acquire_ragged(
         self, coords: np.ndarray
     ) -> tuple["BlockStructure", "RaggedBlocks", str]:
-        """:meth:`acquire` plus the memoized ragged layout and the full
+        """:meth:`acquire` plus the memoized ragged layout and the
         outcome string (the fused window path feeds it to telemetry)."""
         from ..core.ragged import ragged_of
 
@@ -374,70 +278,3 @@ class PartitionCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.patches = 0
-            self.delta_reuses = 0
-
-    # -- delta protocol ------------------------------------------------------
-
-    def _store(self, key: bytes, entry: _Entry) -> None:
-        """Insert under the lock, evicting LRU overflow."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def _take_patcher(self, entry: _Entry) -> Optional["FractalUpdater"]:
-        with self._lock:
-            patcher, entry.patcher = entry.patcher, None
-            return patcher
-
-    def _try_patch(
-        self, entry: _Entry, new64: np.ndarray
-    ) -> tuple["BlockStructure", str, _Entry] | None:
-        """Serve ``new64`` from ``entry`` if the policy allows; else None."""
-        policy = self.policy
-        old = entry.coords
-        if old is None:
-            return None
-        n_old, n_new = len(old), len(new64)
-        if abs(n_new - n_old) > policy.max_churn * max(1, n_old):
-            return None  # cheap reject before the O(n) delta
-        delta = FrameDelta.between(old, new64, policy.motion_threshold)
-        if delta.max_motion > policy.motion_threshold:
-            return None  # drift exceeds block bounds: rebuild
-        if delta.churn > policy.max_churn:
-            return None
-        structure = entry.structure
-        if delta.pure_jitter:
-            cert = certificate_of(structure)
-            if cert is not None and cert.verify(structure, new64):
-                # A rebuild is proven to reproduce this structure: share it.
-                return structure, "reused", _Entry(structure, new64)
-        if structure.strategy != "fractal":
-            return None
-        patcher = self._take_patcher(entry)
-        if patcher is None:
-            cert = certificate_of(structure)
-            if not isinstance(cert, FractalCertificate):
-                return None
-            patcher = updater_from_certificate(cert, structure, old)
-        try:
-            live = entry.live_ids
-            if live is None:
-                live = np.arange(n_old, dtype=np.int64)
-            if delta.n_deleted:
-                patcher.remove(live[delta.retained:])
-            if len(delta.moved):
-                patcher.move(live[delta.moved], new64[delta.moved])
-            if delta.n_inserted:
-                patcher.insert(new64[delta.retained:])
-            patched, new_live = patcher.structure()
-            # Sanity gate: a corrupted patch must rebuild, never serve.
-            if patched.num_points != n_new:
-                raise ValueError("patched structure lost points")
-            if not np.array_equal(patcher.coords(), new64):
-                raise ValueError("patched coordinates misaligned with frame")
-            patched.validate()
-        except Exception:
-            return None
-        return patched, "patched", _Entry(patched, new64, patcher, new_live)

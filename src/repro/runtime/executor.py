@@ -32,7 +32,6 @@ import numpy as np
 from .. import obs
 from ..core import bppo, dispatch
 from ..core.bppo import BlockWork, OpTrace, allocate_samples
-from ..core.delta import PatchPolicy
 from ..core.ragged import (
     RaggedBlocks,
     ball_query_on_layout,
@@ -115,10 +114,7 @@ class CloudResult:
     original result, so treat them as read-only.
 
     ``partition_source`` records how the partition was obtained —
-    ``"warm"`` (exact cache hit), ``"reused"`` (certificate-verified
-    reuse of a near-match), ``"patched"`` (incremental delta update), or
-    ``"cold"`` (full build); empty on results from engines predating the
-    delta protocol.
+    ``"warm"`` (exact cache hit) or ``"cold"`` (full build).
 
     ``model_output`` holds the network output of a model pipeline
     (``PipelineSpec.model``): per-cloud logits for classifiers,
@@ -151,12 +147,6 @@ class ExecutorStats:
     cache_hits: int = 0
     cache_misses: int = 0
     reused: int = 0
-    #: Cache misses absorbed by the delta protocol (certificate reuse or
-    #: an incremental patch) instead of a full rebuild.  Zero unless the
-    #: engine was built with ``delta=True``.
-    patched: int = 0
-    #: Cache misses that paid a full partition build.
-    cold: int = 0
     #: Per-cloud processing-latency percentiles in seconds (replayed
     #: duplicates count at ~0 — a served repeat really is that cheap).
     latency_p50: float = 0.0
@@ -180,11 +170,6 @@ class ExecutorStats:
             f"{self.latency_p95 * 1e3:.2f}/{self.latency_p99 * 1e3:.2f} ms | "
             f"cache {self.cache_hits}/{self.clouds} hits, "
             f"{self.reused} reused"
-            + (
-                f" | partitions {self.cold} cold, {self.patched} patched"
-                if self.patched
-                else ""
-            )
         )
 
 
@@ -300,15 +285,6 @@ class BatchExecutor:
             even when nothing repeats, so the window bounds steady-state
             memory on unbounded unique streams (at the default 32 and
             8 K-point clouds, a few tens of MB).
-        delta: enable the streaming-frames delta protocol — on a cache
-            miss the partition cache scans recent entries for a
-            near-match and serves a certificate-verified reuse or an
-            incrementally patched structure (bit-identical to a rebuild)
-            instead of partitioning from scratch.  See
-            :class:`repro.core.delta.PatchPolicy`.
-        delta_policy: explicit :class:`~repro.core.delta.PatchPolicy`
-            (implies ``delta=True``); ``None`` with ``delta=True`` uses
-            the policy defaults.
     """
 
     def __init__(
@@ -326,8 +302,6 @@ class BatchExecutor:
         cache_size: int = 64,
         reuse_results: bool = True,
         reuse_window: int = 32,
-        delta: bool = False,
-        delta_policy: PatchPolicy | None = None,
     ):
         if mode != "serial" or max_workers not in (None, 1):
             raise ValueError(
@@ -367,15 +341,7 @@ class BatchExecutor:
         if reuse_window < 0:
             raise ValueError(f"reuse_window must be >= 0, got {reuse_window}")
         self.reuse_window = reuse_window
-        policy = (
-            (delta_policy or PatchPolicy())
-            if (delta or delta_policy is not None)
-            else None
-        )
-        self.delta = policy is not None
-        self.cache = PartitionCache(
-            self.partitioner, maxsize=cache_size, policy=policy
-        )
+        self.cache = PartitionCache(self.partitioner, maxsize=cache_size)
 
     # -- single-cloud pipeline ----------------------------------------------
 
@@ -474,14 +440,6 @@ class BatchExecutor:
             cache_hits=sum(1 for r in results if r.cache_hit and not r.reused),
             cache_misses=sum(1 for r in results if not r.cache_hit),
             reused=sum(1 for r in results if r.reused),
-            patched=sum(
-                1 for r in results
-                if not r.reused and r.partition_source in ("patched", "reused")
-            ),
-            cold=sum(
-                1 for r in results
-                if not r.reused and r.partition_source == "cold"
-            ),
             latency_p50=p50,
             latency_p95=p95,
             latency_p99=p99,

@@ -22,10 +22,9 @@ Three traffic profiles stress different scheduler surfaces:
   buckets of one, the worst case the planner must absorb;
 - ``frames`` — one simulated sensor: each frame is the previous frame
   with every point nudged inside a ball of radius ``frame_motion``
-  (bounded per-point displacement, so a delta policy with
-  ``motion_threshold >= frame_motion`` always qualifies) and a
-  ``frame_churn`` fraction of the tail replaced by fresh returns — the
-  streaming workload the cold-path delta protocol exists for;
+  (bounded per-point displacement) and a ``frame_churn`` fraction of
+  the tail replaced by fresh returns — every new frame misses the
+  partition cache, so the stream measures the cold path;
 - ``hotset`` — asset-serving traffic: a fixed catalog of ``hot_assets``
   distinct clouds supplies a ``hot_rate`` fraction of requests (exact
   repeats, recency-free — every asset stays warm forever), the rest are
@@ -121,8 +120,7 @@ class LoadSpec:
             every retained point moves uniformly inside a ball of this
             radius, so ``max_motion <= frame_motion`` holds exactly.
         frame_churn: ``frames`` profile — fraction of the cloud's tail
-            replaced by fresh sensor returns each frame (delete + insert
-            churn for the delta protocol), in ``[0, 1)``.
+            replaced by fresh sensor returns each frame, in ``[0, 1)``.
         hot_assets: ``hotset`` profile — size of the fixed asset
             catalog; repeats of one asset are the same array object, so
             content hashes match exactly.
@@ -267,8 +265,7 @@ def _advance_frame(
 ) -> np.ndarray:
     """One step of the ``frames`` sensor: bounded jitter + tail churn.
 
-    Retained points keep their row order (the frame-delta contract of
-    :meth:`repro.core.delta.FrameDelta.between`); each moves uniformly
+    Retained points keep their row order; each moves uniformly
     inside a ball of radius ``frame_motion``, and the trailing
     ``frame_churn`` fraction is replaced by fresh uniform returns drawn
     in the cloud's bounding box.

@@ -44,10 +44,9 @@ class ServeReport:
     ``label`` names the stream the numbers belong to (the tenant, in
     multi-tenant serving; empty for a single-stream server).
 
-    The partition-source split (``cold`` / ``patched`` / ``warm``)
-    counts how each distinct cloud's partition was obtained — full cold
-    build, delta protocol (certificate reuse or incremental patch), or
-    exact cache hit.  All zero on servers predating the delta protocol.
+    The partition-source split (``cold`` / ``warm``) counts how each
+    distinct cloud's partition was obtained: a full build or an exact
+    cache hit.
 
     Windows close for one of three reasons (:mod:`repro.serve.inbox`):
     ``timeout_windows`` hit the ``max_wait`` cap, ``idle_windows`` closed
@@ -71,7 +70,6 @@ class ServeReport:
     timeout_windows: int
     label: str = ""
     cold_clouds: int = 0
-    patched_clouds: int = 0
     warm_clouds: int = 0
     idle_windows: int = 0
 
@@ -104,10 +102,10 @@ class ServeReport:
             f"{self.idle_windows} idle, "
             f"max queue depth {self.max_queue_depth}",
         ]
-        if self.cold_clouds or self.patched_clouds or self.warm_clouds:
+        if self.cold_clouds or self.warm_clouds:
             lines.append(
                 f"  partitions {self.cold_clouds} cold, "
-                f"{self.patched_clouds} patched, {self.warm_clouds} warm"
+                f"{self.warm_clouds} warm"
             )
         return "\n".join(lines)
 
@@ -119,7 +117,7 @@ class ServeReport:
         adding a ``ServeReport`` field without deciding how it merges
         raises here instead of silently defaulting (the bug this
         replaces: layers hand-assembled reports field by field and new
-        fields like the cold/patched/warm split dropped to zero).
+        fields like the cold/warm split dropped to zero).
 
         Policies: counts **sum**; ``wall_seconds`` and
         ``max_queue_depth`` take the **max** (sessions share one wall
@@ -175,7 +173,6 @@ _MERGE_SUM = frozenset(
         "timeout_windows",
         "idle_windows",
         "cold_clouds",
-        "patched_clouds",
         "warm_clouds",
     }
 )
@@ -231,7 +228,6 @@ class ServeTelemetry:
         self.idle_windows = 0
         self.last_queue_depth = 0
         self.cold_clouds = 0
-        self.patched_clouds = 0
         self.warm_clouds = 0
 
     # -- recording -----------------------------------------------------------
@@ -252,16 +248,14 @@ class ServeTelemetry:
         queue_depth: int,
         reason: str = FULL,
         cold: int = 0,
-        patched: int = 0,
         warm: int = 0,
     ) -> None:
         """One window executed (counts, not timings — latency is per cloud).
 
         ``reason`` is why the window closed: ``full``, ``timeout`` or
         ``idle`` (:meth:`repro.serve.inbox.Inbox.gather`).
-        ``cold``/``patched``/``warm`` split the window's distinct clouds
-        by partition source (zero when the serving layer predates the
-        delta protocol or the engine runs without it).
+        ``cold``/``warm`` split the window's distinct clouds by
+        partition source.
         """
         self.windows += 1
         self.buckets += buckets
@@ -269,7 +263,6 @@ class ServeTelemetry:
         self.singleton_clouds += singletons
         self.reused_clouds += reused
         self.cold_clouds += cold
-        self.patched_clouds += patched
         self.warm_clouds += warm
         self.occupancy_sum += size
         self.last_queue_depth = queue_depth
@@ -305,9 +298,8 @@ class ServeTelemetry:
             f"timeout/idle {self.timeout_windows}/{self.idle_windows} | "
             f"fused {fused_ratio:.0%} | reused {self.reused_clouds}"
             + (
-                f" | cold/patched/warm {self.cold_clouds}/"
-                f"{self.patched_clouds}/{self.warm_clouds}"
-                if self.patched_clouds or self.warm_clouds
+                f" | cold/warm {self.cold_clouds}/{self.warm_clouds}"
+                if self.warm_clouds
                 else ""
             )
         )
@@ -337,7 +329,6 @@ class ServeTelemetry:
             timeout_windows=self.timeout_windows,
             label=self.label,
             cold_clouds=self.cold_clouds,
-            patched_clouds=self.patched_clouds,
             warm_clouds=self.warm_clouds,
             idle_windows=self.idle_windows,
         )

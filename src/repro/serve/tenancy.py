@@ -497,7 +497,6 @@ class MultiTenantServer:
                 queue_depth=len(session.queue),
                 reason=reason,
                 cold=split.count("cold"),
-                patched=split.count("patched") + split.count("reused"),
                 warm=split.count("warm"),
             )
         return emissions
@@ -537,12 +536,11 @@ class MultiTenantServer:
             window.complete(results, split)
 
         # Attribute each computed cloud to its tenant: the partition
-        # source (cold / patched / reused / warm, the delta-protocol
-        # accounting the single-stream server has) and the
-        # fused/singleton split.  A fused bucket may span several
-        # tenants, so bucket counts cannot be split exactly; each tenant
-        # with fused traffic in this group is charged the group's bucket
-        # count (the invocations it rode in).
+        # source (cold / warm, the accounting the single-stream server
+        # has) and the fused/singleton split.  A fused bucket may span
+        # several tenants, so bucket counts cannot be split exactly; each
+        # tenant with fused traffic in this group is charged the group's
+        # bucket count (the invocations it rode in).
         singleton = set(plan.singleton_indices)
         for slot, _, _ in uniques:
             name = members[slot][0].name

@@ -234,7 +234,6 @@ class WindowedServer:
                 queue_depth=queue_depth,
                 reason=reason,
                 cold=sources.count("cold"),
-                patched=sources.count("patched") + sources.count("reused"),
                 warm=sources.count("warm"),
             )
         for arrival in batch:

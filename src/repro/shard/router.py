@@ -2,19 +2,12 @@
 
 :class:`ShardRouter` is the process-level scale-out of the serving
 layer.  It keeps N :mod:`~repro.shard.worker` processes behind a
-:class:`~repro.shard.hashring.HashRing` and routes every request by a
-stable key:
-
-- ``affinity="content"`` — the content digest
-  (:func:`~repro.runtime.cache.result_key`), so every repeat of a hot
-  asset lands on the same shard and the fleet's dedup windows and
-  partition caches tile the catalog instead of replicating it.  With N
-  shards the aggregate hot capacity is N× one process — the sharded win
-  on hot-asset traffic, even on a single core.
-- ``affinity="stream"`` — the stream/tenant tag, so every frame of a
-  sensor stream hits one shard and delta patching
-  (``engine.delta=True``) stays shard-local: the shard that cached frame
-  *t*'s partition is the one asked to patch frame *t+1*.
+:class:`~repro.shard.hashring.HashRing` and routes every request by its
+content digest (:func:`~repro.runtime.cache.result_key`), so every
+repeat of a hot asset lands on the same shard and the fleet's dedup
+windows and partition caches tile the catalog instead of replicating
+it.  With N shards the aggregate hot capacity is N× one process — the
+sharded win on hot-asset traffic, even on a single core.
 
 Bulk arrays move through the shared-memory transport
 (:mod:`~repro.shard.transport`): the router owns one request arena per
@@ -129,16 +122,14 @@ class ShardRouter:
             iterable of explicit shard names.
         engine: keyword arguments for each shard's private
             :class:`~repro.runtime.executor.BatchExecutor` (the
-            partitioner **name**, block size, cache and dedup sizing,
-            delta flags).  Each engine is serial; the shards are the
-            parallelism.
+            partitioner **name**, block size, cache and dedup sizing).
+            Each engine is serial; the shards are the parallelism.
         pipeline: the :class:`PipelineSpec` every shard runs.
         transport: ``"shm"`` (shared-memory arenas, control-only pipes)
             or ``"pickle"`` (arrays inline through the pipes — the
             baseline).
-        affinity: ``"content"``, ``"stream"``, or ``"auto"`` (stream
-            when the engine runs the delta protocol — patching needs
-            frame locality — content otherwise).
+        affinity: the routing key; ``"content"`` (the content digest)
+            is the only one.
         arena_bytes: size of each arena (one request arena per shard on
             the router side, one response arena per worker).  Overflow
             degrades to inline transport per array, never an error.
@@ -160,7 +151,7 @@ class ShardRouter:
         engine: dict | None = None,
         pipeline: PipelineSpec | None = None,
         transport: str = "shm",
-        affinity: str = "auto",
+        affinity: str = "content",
         arena_bytes: int = 64 << 20,
         max_clouds: int = 16,
         max_in_flight: int = 32,
@@ -170,18 +161,11 @@ class ShardRouter:
     ):
         if transport not in ("shm", "pickle"):
             raise ValueError(f"transport must be shm|pickle, got {transport!r}")
-        if affinity not in ("auto", "content", "stream"):
-            raise ValueError(
-                f"affinity must be auto|content|stream, got {affinity!r}"
-            )
+        if affinity != "content":
+            raise ValueError(f"affinity must be content, got {affinity!r}")
         self.engine_kwargs = dict(engine or {})
         self.pipeline = pipeline or PipelineSpec()
         self.transport = transport
-        self.affinity = (
-            ("stream" if self.engine_kwargs.get("delta") else "content")
-            if affinity == "auto"
-            else affinity
-        )
         self.arena_bytes = arena_bytes
         self.max_clouds = max_clouds
         self.max_in_flight = max_in_flight
@@ -321,12 +305,7 @@ class ShardRouter:
         if self._closed:
             raise RuntimeError("router is closed")
         coords, features = _as_cloud(cloud)
-        key = (
-            stream.encode("utf-8")
-            if self.affinity == "stream"
-            else result_key(coords, features)
-        )
-        name = self._ring.route(key)
+        name = self._ring.route(result_key(coords, features))
         shard = self._shards[name]
         # Head sampling happens here, once per request: a sampled request
         # gets an open root span whose context rides the run message so

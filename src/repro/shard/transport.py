@@ -174,8 +174,8 @@ class ShmPeer:
 
         With ``copy=False`` shm refs come back as zero-copy views into
         the segment — valid only until the owner reclaims the block, so
-        callers that retain arrays past the reply (e.g. delta-mode
-        caches) must pass ``copy=True``.
+        callers that retain arrays past the reply must pass
+        ``copy=True``.
         """
         if ref.inline:
             arr = np.frombuffer(ref.data, dtype=ref.dtype).reshape(ref.shape)

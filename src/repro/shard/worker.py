@@ -10,10 +10,10 @@ fused execution through ``execute_window`` — so a sharded deployment
 stays bit-identical to the one-process reference.
 
 Because the router's consistent hash sends every repeat of a content key
-(and every frame of a delta stream) to the same shard, shard-local
-caches see the same hit pattern a single process would, but the fleet's
-*aggregate* cache capacity is N× one process — that is where the sharded
-speedup on hot-asset traffic comes from on a single-core host.
+to the same shard, shard-local caches see the same hit pattern a single
+process would, but the fleet's *aggregate* cache capacity is N× one
+process — that is where the sharded speedup on hot-asset traffic comes
+from on a single-core host.
 
 Control traffic rides one duplex :func:`multiprocessing.Pipe` per shard
 (no queue feeder threads, no extra pickling hop), bulk arrays ride the
@@ -105,11 +105,9 @@ def shard_main(
     else:
         obs.configure(trace=False, metrics=False)
     engine = BatchExecutor(**engine_kwargs)
-    # Delta-mode caches retain request coords past the reply, so they
-    # must own their bytes; otherwise zero-copy views are safe for the
-    # lifetime of the window (the router reclaims request blocks only
-    # after this worker reports them consumed via ``req_refs``).
-    copy_requests = bool(engine_kwargs.get("delta"))
+    # Requests are zero-copy views into the router's arena, safe for the
+    # lifetime of the window: the router reclaims request blocks only
+    # after this worker reports them consumed via ``req_refs``.
     channel = ShmArena(arena_bytes) if transport == "shm" else PickleChannel()
     peer = ShmPeer()
     done = ResultWindow(engine.reuse_window)
@@ -159,7 +157,6 @@ def shard_main(
             "singletons": plan.singleton_clouds,
             "reused": split.reused,
             "cold": sources.count("cold"),
-            "patched": sources.count("patched") + sources.count("reused"),
             "warm": sources.count("warm"),
             "seconds": seconds,
         }
@@ -171,10 +168,8 @@ def shard_main(
     def decode(msg):
         """``run`` message → (req_id, coords, features, req_refs, ctx)."""
         _, req_id, refs, has_features, span_ctx = msg
-        coords = peer.unpack(refs[0], copy=copy_requests)
-        features = (
-            peer.unpack(refs[1], copy=copy_requests) if has_features else None
-        )
+        coords = peer.unpack(refs[0])
+        features = peer.unpack(refs[1]) if has_features else None
         return (req_id, coords, features, refs, span_ctx)
 
     stopping = False

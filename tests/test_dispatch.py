@@ -419,9 +419,11 @@ class TestCacheClearing:
         assert rb1 is rb2  # memoized alongside the cached structure
 
     def test_ragged_memo_guards_full_precision(self):
-        """The partition cache keys at float32 — a float64-distinct but
-        float32-equal cloud replays the structure yet must rebuild the
-        ragged layout (it carries the coordinates themselves)."""
+        """The partition cache keys at full float64 precision, so a cloud
+        one ulp from a cached one is a miss with its own structure and
+        layout; and a structure asked for a layout over other
+        coordinates rebuilds it rather than replaying the memo (the
+        layout carries the coordinates themselves)."""
         cache = PartitionCache(get_partitioner("kdtree", max_points_per_block=16))
         a = np.random.default_rng(3).normal(size=(50, 3))
         b = a.copy()
@@ -429,7 +431,9 @@ class TestCacheClearing:
         assert np.float32(a[0, 0]) == np.float32(b[0, 0])
         s1, rb1, _ = cache.get_ragged(a)
         s2, rb2, hit = cache.get_ragged(b)
-        assert hit  # same structure replayed ...
-        assert s1 is s2
-        assert rb1 is not rb2  # ... but the layout was rebuilt
+        assert not hit  # a different cloud, not a replay ...
+        assert s1 is not s2
         assert np.array_equal(rb2.coords, b[rb2.perm])
+        rebuilt = ragged.ragged_of(s1, b)  # ... and the memo revalidates
+        assert rebuilt is not rb1
+        assert np.array_equal(rebuilt.coords, b[rebuilt.perm])

@@ -3,9 +3,26 @@
 import numpy as np
 import pytest
 
+import test_batch_parity as parity
+
 from repro.geometry import PointCloud
 from repro.partition import get_partitioner
-from repro.runtime import BatchExecutor, PartitionCache, PipelineSpec, content_key
+from repro.runtime import (
+    BatchExecutor,
+    PartitionCache,
+    PipelineSpec,
+    content_key,
+    result_key,
+)
+from repro.serve import (
+    LoadSpec,
+    MultiTenantServer,
+    TenantSpec,
+    WindowConfig,
+    WindowedServer,
+    generate,
+)
+from repro.shard import ShardRouter
 
 
 def make_clouds(count, seed=0, max_n=400):
@@ -53,17 +70,22 @@ class TestPartitionCache:
         """Regression: the digest hashed shape and raw bytes but not the
         dtype, so same-shape arrays with identical raw bytes under
         different input dtypes collided (all-zero int64 vs all-zero
-        float64) at any single call site, as did digests produced at
-        different renderings."""
+        float64)."""
         ints = np.zeros((4, 3), dtype=np.int64)
         floats = np.zeros((4, 3), dtype=np.float64)
         assert ints.tobytes() == floats.tobytes()  # the collision setup
         assert content_key(ints) != content_key(floats)  # input dtype hashed
-        assert content_key(ints, dtype=np.int64) != content_key(
-            floats, dtype=np.float64
-        )  # rendering dtype hashed too
         # Value-equal inputs of one dtype still share a key (cache replay).
         assert content_key(floats) == content_key(floats.copy())
+
+    def test_content_key_is_full_precision(self):
+        """Clouds one float64 ulp apart are float32-equal but must never
+        share a partition-cache or dedup key."""
+        a = np.random.default_rng(13).normal(size=(50, 3))
+        b = a.copy()
+        b[0, 0] = np.nextafter(a[0, 0], np.inf)
+        assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
+        assert content_key(a) != content_key(b)
 
     def test_construction_dtype_is_the_dedup_contract(self):
         """Companion regression: datasets pin float32 at PointCloud
@@ -115,6 +137,32 @@ class TestBatchExecutor:
         report = BatchExecutor("kdtree", block_size=32).run([a, b])
         assert report.stats.reused == 0
         assert not report.results[1].reused
+
+    def test_float32_equal_clouds_get_their_own_partition(self):
+        """Regression: the partition cache keyed at float32, so a cloud
+        equal to a served one at float32 but not at float64 was handed
+        the first cloud's partition.  With a point on the root split
+        plane (x = 0.5 between corners pinned at 0 and 1), a 1e-12 nudge
+        moves it across the plane, and every output of the second cloud
+        came back different from its own serial reference."""
+        a = np.random.default_rng(0).random((600, 3))
+        a[0], a[1] = 0.0, 1.0
+        a[2, 0] = 0.5
+        b = a.copy()
+        b[2, 0] = 0.5 + 1e-12
+        assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
+        pipeline = PipelineSpec()
+        engine = BatchExecutor("fractal", block_size=64)
+        engine.run_cloud(a, pipeline)
+        result = engine.run_cloud(b, pipeline)
+        assert not result.cache_hit
+        ref = parity.TestExecutorParity.reference_pipeline(
+            b, "fractal", 64, pipeline
+        )
+        assert np.array_equal(ref[0], result.sampled)
+        assert np.array_equal(ref[1], result.neighbors)
+        assert np.array_equal(ref[2], result.grouped)
+        assert np.array_equal(ref[3], result.interpolated)
 
     def test_dedup_disabled(self):
         clouds = make_clouds(2, seed=5)
@@ -206,139 +254,74 @@ class TestBatchExecutor:
         assert result.traces["fps"].total_outputs == len(result.sampled)
 
 
-def make_frame_stream(count, n=400, seed=0, churn=0, motion=1e-3):
-    """A jittered (optionally churned) frame sequence from one sensor."""
-    rng = np.random.default_rng(seed)
-    frame = rng.normal(size=(n, 3))
-    frames = [frame]
-    for _ in range(count - 1):
-        dirs = rng.normal(size=frame.shape)
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        radii = motion * rng.random((len(frame), 1)) ** (1.0 / 3.0)
-        frame = frame + dirs / norms * radii
-        if churn:
-            frame = np.concatenate(
-                [frame[:-churn], rng.normal(size=(churn, 3))]
+FRAMES = LoadSpec(
+    clouds=24, min_points=300, max_points=400, dup_rate=0.25,
+    profile="frames", frame_motion=0.01, frame_churn=0.1, seed=7,
+)
+SOURCE_PIPELINE = PipelineSpec(radius=0.4, group_size=8)
+
+
+def _served_stream(engine, frames):
+    return list(engine.stream(iter(frames), SOURCE_PIPELINE)), None
+
+
+def _served_window(engine, frames):
+    server = WindowedServer(engine, WindowConfig(max_clouds=4))
+    results = list(server.serve(iter(frames), SOURCE_PIPELINE))
+    return results, server.telemetry.report(1.0)
+
+
+def _served_tenancy(engine, frames):
+    tenants = [TenantSpec("t0", pipeline=SOURCE_PIPELINE)]
+    server = MultiTenantServer(engine, tenants, window=WindowConfig(max_clouds=4))
+    with server:
+        results = [
+            served.result
+            for served in server.serve(("t0", cloud) for cloud in frames)
+        ]
+    return results, server.reports(1.0)["t0"]
+
+
+def _served_shard(engine, frames):
+    with ShardRouter(
+        1,
+        engine=dict(partitioner="fractal", block_size=64, reuse_results=False),
+        pipeline=SOURCE_PIPELINE,
+        max_clouds=4,
+    ) as router:
+        results = [served.result for served in router.serve(frames)]
+        return results, router.report(1.0)
+
+
+class TestPartitionSources:
+    @pytest.mark.parametrize(
+        "serve",
+        (_served_stream, _served_window, _served_tenancy, _served_shard),
+        ids=("stream", "window", "tenancy", "shard"),
+    )
+    def test_non_delta_engine_reports_cold_sources(self, serve):
+        """Every serving surface reports each computed cloud's partition
+        as ``cold`` (built) or ``warm`` (exact cache hit), and serves the
+        serial reference bit for bit.  Result dedup is off, so the
+        stream's exact repeats reach the partition cache."""
+        frames = [np.asarray(c, dtype=np.float64) for c in generate(FRAMES)]
+        distinct = len({result_key(c, None) for c in frames})
+        assert distinct < len(frames)  # the stream repeats some frames
+        engine = BatchExecutor("fractal", block_size=64, reuse_results=False)
+        results, report = serve(engine, frames)
+        assert len(results) == len(frames)
+        sources = [r.partition_source for r in results]
+        assert set(sources) <= {"cold", "warm"}
+        assert sources.count("cold") == distinct
+        assert sources.count("warm") == len(frames) - distinct
+        if report is not None:
+            assert report.cold_clouds == distinct
+            assert report.cold_clouds + report.warm_clouds == len(frames)
+        for coords, result in zip(frames, results):
+            ref = parity.TestExecutorParity.reference_pipeline(
+                coords, "fractal", 64, SOURCE_PIPELINE
             )
-        frames.append(frame)
-    return frames
-
-
-class TestDeltaEngine:
-    def test_jitter_stream_bit_identical_to_rebuild_engine(self):
-        # Pure jitter only ever takes the certificate path (proven
-        # rebuild identity) or a cold build — so every result must match
-        # an engine that rebuilds each frame from scratch.
-        frames = make_frame_stream(6, seed=1)
-        pipe = PipelineSpec(sample_ratio=0.25)
-        ref = BatchExecutor(
-            "fractal", reuse_results=False
-        ).run(frames, pipe)
-        dlt = BatchExecutor(
-            "fractal", reuse_results=False, delta=True
-        ).run(frames, pipe)
-        for a, b in zip(ref.results, dlt.results):
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.neighbors, b.neighbors)
-            assert np.array_equal(a.grouped, b.grouped)
-            assert np.array_equal(a.interpolated, b.interpolated)
-        assert dlt.stats.patched >= 4
-        assert dlt.stats.cold == 1
-
-    def test_partition_source_and_counters(self):
-        frames = make_frame_stream(5, seed=2, churn=10)
-        report = BatchExecutor(
-            "fractal", reuse_results=False, delta=True
-        ).run(frames, PipelineSpec(sample_ratio=0.25))
-        sources = [r.partition_source for r in report.results]
-        assert sources[0] == "cold"
-        assert all(s in ("cold", "reused", "patched", "warm") for s in sources)
-        stats = report.stats
-        assert stats.patched + stats.cold + stats.cache_hits == len(frames)
-        # The delta path still counts as a cache miss (no exact hit).
-        assert stats.cache_misses == stats.patched + stats.cold
-        assert "patched" in stats.summary()
-
-    def test_churned_frames_serve_valid_results(self):
-        frames = make_frame_stream(5, seed=3, churn=15)
-        pipe = PipelineSpec(sample_ratio=0.25)
-        report = BatchExecutor(
-            "fractal", reuse_results=False, delta=True
-        ).run(frames, pipe)
-        assert report.stats.patched >= 3
-        for frame, result in zip(frames, report.results):
-            n = len(frame)
-            assert result.num_points == n
-            assert len(result.sampled) == pipe.samples_for(n)
-            assert len(np.unique(result.sampled)) == len(result.sampled)
-            assert result.sampled.max() < n
-            assert result.interpolated.shape == (n, 3)
-            assert set(result.traces) == {
-                "fps", "ball_query", "gather", "interpolate"
-            }
-
-    def test_corrupted_patch_rebuilds_with_correct_results(self, monkeypatch):
-        class BrokenPatcher:
-            def __init__(self, structure, coords):
-                self._structure = structure
-                self._coords = coords
-
-            def remove(self, ids):
-                pass
-
-            def move(self, ids, new_coords):
-                pass
-
-            def insert(self, coords):
-                return np.arange(len(coords), dtype=np.int64)
-
-            def structure(self):
-                return self._structure, np.arange(
-                    self._structure.num_points, dtype=np.int64
-                )
-
-            def coords(self):
-                return self._coords
-
-        frames = make_frame_stream(4, seed=4, churn=10)
-        pipe = PipelineSpec(sample_ratio=0.25)
-        engine = BatchExecutor(
-            "fractal", reuse_results=False, delta=True
-        )
-        first = engine.cache.partitioner(frames[0])
-        monkeypatch.setattr(
-            "repro.runtime.cache.updater_from_certificate",
-            lambda cert, structure, coords: BrokenPatcher(first, frames[0]),
-        )
-        report = engine.run(frames, pipe)
-        # Every patch attempt failed its sanity gate, so every frame
-        # paid a cold build — and the results must equal the plain
-        # engine's bit for bit.
-        assert report.stats.patched == 0
-        assert report.stats.cold == len(frames)
-        ref = BatchExecutor(
-            "fractal", reuse_results=False
-        ).run(frames, pipe)
-        for a, b in zip(ref.results, report.results):
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.interpolated, b.interpolated)
-
-    def test_delta_policy_implies_delta(self):
-        from repro.core.delta import PatchPolicy
-
-        engine = BatchExecutor(
-            "fractal", delta_policy=PatchPolicy(motion_threshold=0.5)
-        )
-        assert engine.delta
-        assert engine.cache.policy.motion_threshold == 0.5
-
-    def test_non_delta_engine_reports_cold_sources(self):
-        clouds = make_clouds(3, seed=5, max_n=150)
-        report = BatchExecutor(
-            "kdtree", reuse_results=False
-        ).run(clouds, PipelineSpec())
-        assert all(
-            r.partition_source == "cold" for r in report.results
-        )
-        assert report.stats.patched == 0
+            assert np.array_equal(ref[0], result.sampled)
+            assert np.array_equal(ref[1], result.neighbors)
+            assert np.array_equal(ref[2], result.grouped)
+            assert np.array_equal(ref[3], result.interpolated)

@@ -354,7 +354,7 @@ def _report(**kw):
         reused_clouds=1, wall_seconds=1.0, latency_p50=0.01,
         latency_p95=0.02, latency_p99=0.03, mean_occupancy=0.5,
         max_queue_depth=3, timeout_windows=1, label="a", cold_clouds=1,
-        patched_clouds=1, warm_clouds=1,
+        warm_clouds=1,
     )
     base.update(kw)
     return ServeReport(**base)
@@ -450,7 +450,6 @@ class TestExport:
     def test_stage_mapping(self):
         assert export.stage_of("op.fps") == "op.fps"
         assert export.stage_of("partition.build") == "build"
-        assert export.stage_of("partition.patch") == "patch"
         assert export.stage_of("shard.serialize") == "transport"
         assert export.stage_of("transport.unpack") == "transport"
         assert export.stage_of("serve.wait") == "queueing"

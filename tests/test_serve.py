@@ -740,7 +740,7 @@ class TestResultKey:
 
     def test_composes_full_precision_digests(self):
         coords = np.zeros((6, 3))
-        assert result_key(coords, None) == content_key(coords, dtype=np.float64)
+        assert result_key(coords, None) == content_key(coords)
 
 
 class TestImportOrder:
@@ -849,66 +849,10 @@ class TestFramesProfile:
         assert repeats > 0
 
 
-class TestDeltaServe:
-    """Serving a frame stream through a delta-enabled engine: telemetry
-    must split partition work into cold / patched / warm, and jitter-only
-    streams must stay bit-identical to a rebuild-every-frame server."""
+class TestPartitionSourceTelemetry:
+    """Telemetry splits each window's computed clouds into cold / warm."""
 
     PIPELINE = PipelineSpec(sample_ratio=0.25, radius=0.4, group_size=8)
-
-    def frame_stream(self, clouds, churn, seed=17, motion=0.02):
-        spec = LoadSpec(
-            clouds=clouds, min_points=260, max_points=300, dup_rate=0.0,
-            profile="frames", frame_motion=motion, frame_churn=churn,
-            seed=seed,
-        )
-        return list(generate(spec))
-
-    def test_telemetry_splits_partition_sources(self):
-        frames = self.frame_stream(12, churn=0.1)
-        engine = BatchExecutor("fractal", delta=True)
-        served, telemetry = serve_all(
-            engine, frames, self.PIPELINE, WindowConfig(max_clouds=4)
-        )
-        assert len(served) == 12
-        report = telemetry.report(wall_seconds=1.0)
-        assert report.cold_clouds >= 1
-        assert report.patched_clouds > 0
-        assert (report.cold_clouds + report.patched_clouds
-                + report.warm_clouds) == 12
-        assert "partitions" in report.format()
-        assert "cold/patched/warm" in telemetry.stats_line()
-
-    def test_jitter_only_delta_serving_is_bit_identical(self):
-        # Small jitter keeps every point on its side of the split
-        # planes, so each frame takes the certificate path (proven
-        # rebuild-identical) or a cold build, and the delta server must
-        # emit exactly what a rebuild-every-frame server emits.  (Larger
-        # motion may fail certificate verification and fall back to the
-        # updater, which serves a valid but not rebuild-identical
-        # partition — that path is covered by the executor delta suite.)
-        frames = self.frame_stream(8, churn=0.0, motion=1e-4)
-        window = WindowConfig(max_clouds=3)
-        plain, _ = serve_all(
-            BatchExecutor("fractal", reuse_results=False),
-            frames, self.PIPELINE, window,
-        )
-        delta, telemetry = serve_all(
-            BatchExecutor(
-                "fractal", reuse_results=False, delta=True
-            ),
-            frames, self.PIPELINE, window,
-        )
-        sources = [r.partition_source for r in delta]
-        assert set(sources) <= {"cold", "reused"}
-        assert "reused" in sources
-        for a, b in zip(plain, delta):
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.neighbors, b.neighbors)
-            assert np.array_equal(a.grouped, b.grouped)
-            assert np.array_equal(a.interpolated, b.interpolated)
-        report = telemetry.report(wall_seconds=1.0)
-        assert report.patched_clouds > 0  # certificate reuses count here
 
     def test_plain_engine_reports_all_cold(self):
         clouds = [make_cloud(n, seed=3000 + n) for n in (40, 60, 80)]
@@ -918,5 +862,17 @@ class TestDeltaServe:
         )
         report = telemetry.report(wall_seconds=1.0)
         assert report.cold_clouds == 3
-        assert report.patched_clouds == 0 and report.warm_clouds == 0
-        assert "cold/patched/warm" not in telemetry.stats_line()
+        assert report.warm_clouds == 0
+        assert "cold/warm" not in telemetry.stats_line()
+
+    def test_recomputed_repeats_report_warm(self):
+        clouds = [make_cloud(n, seed=3000 + n) for n in (40, 60, 80)]
+        engine = BatchExecutor("kdtree", block_size=16, reuse_results=False)
+        _, telemetry = serve_all(
+            engine, clouds + clouds[:1], self.PIPELINE,
+            WindowConfig(max_clouds=2),
+        )
+        report = telemetry.report(wall_seconds=1.0)
+        assert (report.cold_clouds, report.warm_clouds) == (3, 1)
+        assert "cold/warm 3/1" in telemetry.stats_line()
+        assert "partitions 3 cold, 1 warm" in report.format()

@@ -11,8 +11,6 @@ The obligations, layer by layer:
 - the router delivers every submission exactly once, in submission
   order, bit-identical to the single-process windowed server over the
   same stream — across both transports, and across drains and joins;
-- stream-affine routing keeps delta streams shard-local, so incremental
-  patching still happens behind the router;
 - serving is event-driven: a result comes back while the source is
   quiet, a source error or an early ``close()`` of the stream releases
   the puller and its fds, and a dead worker fails the stream instead of
@@ -32,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.sanitize import extra_shm_segments, shm_segments
 from repro.datasets import load_cloud
 from repro.runtime import BatchExecutor
-from repro.serve import LoadSpec, WindowConfig, WindowedServer, generate
+from repro.serve import WindowConfig, WindowedServer
 from repro.shard import (
     ArrayRef,
     HashRing,
@@ -280,34 +278,6 @@ class TestShardRouter:
             assert [s.seq for s in second] == list(range(4, 16))
             shards_used = {s.shard for s in second}
             assert shards_used == {"shard-0", "shard-1"}
-
-    def test_stream_affinity_keeps_delta_patching_shard_local(self):
-        def frames(seed):
-            return list(generate(LoadSpec(
-                clouds=5, min_points=512, max_points=512, dup_rate=0.0,
-                profile="frames", frame_motion=0.0, frame_churn=0.05,
-                seed=seed,
-            )))
-
-        streams = {f"cam{i}": frames(seed) for i, seed in enumerate((1, 2))}
-        engine = dict(partitioner="fractal", block_size=64, delta=True)
-        with ShardRouter(2, engine=engine, transport="shm") as router:
-            assert router.affinity == "stream"
-            served = []
-            for round_i in range(5):  # paced: one frame per stream per round
-                for name, seq in streams.items():
-                    router.submit(seq[round_i], stream=name)
-                served.extend(router.flush())
-            by_stream = {}
-            for s in served:
-                by_stream.setdefault(s.stream, set()).add(s.shard)
-            assert all(len(v) == 1 for v in by_stream.values())
-            sources = [s.result.partition_source for s in served]
-            assert sources.count("patched") > 0
-            # Per-stream frame order is preserved.
-            for name in streams:
-                seqs = [s.seq for s in served if s.stream == name]
-                assert seqs == sorted(seqs)
 
     def test_shm_segments_fully_reclaimed(self):
         # That close() also unlinks every router-owned /dev/shm segment is
