@@ -86,13 +86,6 @@ class OpTrace:
         return sum(w.n_centers * w.n_search for w in self.blocks)
 
     @property
-    def max_block_work(self) -> int:
-        """Largest single-block workload — the parallel critical path."""
-        if not self.blocks:
-            return 0
-        return max(w.n_centers * max(w.n_search, 1) for w in self.blocks)
-
-    @property
     def num_widened(self) -> int:
         return sum(1 for w in self.blocks if w.widened)
 

@@ -47,10 +47,3 @@ class FractalConfig:
             raise ValueError(f"start_dim must be 0..2, got {self.start_dim}")
         if self.min_search_candidates < 1:
             raise ValueError("min_search_candidates must be >= 1")
-
-    @staticmethod
-    def for_scale(num_points: int) -> "FractalConfig":
-        """Paper defaults: th=64 below 8 K points, th=256 at or above."""
-        if num_points < 8192:
-            return FractalConfig(threshold=DEFAULT_SMALL_SCALE_THRESHOLD)
-        return FractalConfig(threshold=DEFAULT_LARGE_SCALE_THRESHOLD)

@@ -107,10 +107,6 @@ class FractalTree:
                 stack.append(node.left)
 
     @property
-    def num_internal_nodes(self) -> int:
-        return sum(1 for node in self.nodes() if not node.is_leaf)
-
-    @property
     def max_depth(self) -> int:
         return max(leaf.depth for leaf in self.leaves)
 
@@ -141,10 +137,3 @@ class FractalTree:
             cost=self.cost,
             strategy="fractal",
         )
-
-    def leaf_of_point(self) -> np.ndarray:
-        """``(num_points,)`` map from point index to leaf position in DFT order."""
-        owner = np.full(self.num_points, -1, dtype=np.int64)
-        for leaf_pos, leaf in enumerate(self.leaves):
-            owner[leaf.indices] = leaf_pos
-        return owner

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import knn_search, pairwise_sq_dists
+from .ops import pairwise_sq_dists
 
 __all__ = [
     "neighbor_recall",
@@ -101,14 +101,3 @@ def block_balance_factor(block_sizes: np.ndarray) -> float:
     if np.any(sizes <= 0):
         raise ValueError("block sizes must be positive")
     return float(sizes.max() / sizes.mean())
-
-
-def knn_recall_for_point_sets(
-    centers: np.ndarray,
-    candidates: np.ndarray,
-    approx_indices: np.ndarray,
-    k: int,
-) -> float:
-    """Convenience: recall of ``approx_indices`` against exact KNN."""
-    exact = knn_search(centers, candidates, k)
-    return neighbor_recall(approx_indices, exact)

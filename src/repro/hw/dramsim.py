@@ -165,11 +165,3 @@ class DRAMSimLite:
         rng = np.random.default_rng(seed)
         slots = max(span_bytes // self.timing.bytes_per_burst, 1)
         return rng.integers(0, slots, size=bursts) * self.timing.bytes_per_burst
-
-    def measure_efficiencies(
-        self, nbytes: int = 1 << 20, span_bytes: int = 1 << 28, seed: int = 0
-    ) -> tuple[float, float]:
-        """(streamed, random) bandwidth efficiencies for typical traces."""
-        streamed = self.replay(self.streamed_trace(nbytes)).efficiency
-        random = self.replay(self.random_trace(nbytes, span_bytes, seed)).efficiency
-        return streamed, random

@@ -125,13 +125,3 @@ class RunResult:
             "dram": sum(p.dram_j for p in self.phases.values()),
             "static": self.static_j,
         }
-
-    def summary_row(self) -> list:
-        return [
-            self.platform,
-            self.workload,
-            self.num_points,
-            f"{self.latency_s * 1e3:.3f} ms",
-            f"{self.energy_j * 1e3:.3f} mJ",
-            f"{self.dram_bytes / 1e6:.2f} MB",
-        ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import dispatch
-
 __all__ = [
     "SAConfig",
     "FPConfig",
@@ -83,22 +81,6 @@ class WorkloadSpec:
         for sa in self.sa_stages:
             prod *= sa.ratio
         return prod
-
-    def agg_plan(self, n: int) -> list[str]:
-        """Cost-model aggregation order per SA stage at input size ``n``.
-
-        One entry (``"eager"`` | ``"delayed"``) per set-abstraction
-        stage, from :func:`repro.core.dispatch.choose_agg` — the same
-        decision ``agg="auto"`` makes when the workload actually runs.
-        """
-        return [
-            dispatch.choose_agg(
-                stage.n_in, stage.n_out, stage.k,
-                (3 + stage.in_channels, *stage.mlp),
-            )
-            for stage in self.concrete(n)
-            if stage.kind == "sa"
-        ]
 
 
 @dataclass

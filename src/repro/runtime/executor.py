@@ -25,13 +25,13 @@ path; ``tests/test_batch_parity.py`` holds the proof obligations.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
 from ..core import bppo, dispatch
-from ..core.bppo import BlockWork, OpTrace, allocate_samples
+from ..core.bppo import allocate_samples
 from ..core.ragged import (
     RaggedBlocks,
     ball_query_on_layout,
@@ -120,6 +120,10 @@ class CloudResult:
     (``PipelineSpec.model``): per-cloud logits for classifiers,
     per-point logits for segmenters; ``None`` on raw BPPO pipelines,
     whose point-op arrays are empty in the model case.
+
+    A served result carries outputs only, no per-block work traces: the
+    accelerator model's traces come from the offline
+    :func:`repro.core.dispatch.run_op` path.
     """
 
     index: int
@@ -131,7 +135,6 @@ class CloudResult:
     neighbors: np.ndarray
     grouped: np.ndarray
     interpolated: np.ndarray | None
-    traces: dict[str, OpTrace] = field(default_factory=dict)
     reused: bool = False
     partition_source: str = ""
     model_output: np.ndarray | None = None
@@ -651,7 +654,6 @@ class BatchExecutor:
         row_offsets = np.zeros(len(items) + 1, dtype=np.int64)
         np.cumsum(samples_per_cloud, out=row_offsets[1:])
         point_offsets = fused.group_point_offsets
-        block_offsets = fused.group_block_offsets
 
         traced = obs.enabled()
         with obs.span("op.fps", kernel="ragged") if traced else obs.NULL_SPAN:
@@ -661,13 +663,12 @@ class BatchExecutor:
             if traced
             else obs.NULL_SPAN
         ):
-            neighbors_f, ball_counts = ball_query_on_layout(
+            neighbors_f, _ = ball_query_on_layout(
                 fused, coords_f, sampled_f, pipeline.radius, pipeline.group_size
             )
         with obs.span("op.gather", kernel="loop") if traced else obs.NULL_SPAN:
             grouped_f = exact_ops.gather_features(feats_f, neighbors_f)
         interpolated_f = None
-        knn_stats = None
         if pipeline.with_interpolation:
             k_per_cloud = {
                 min(pipeline.interpolate_k, s) for s in samples_per_cloud
@@ -683,7 +684,7 @@ class BatchExecutor:
             with (
                 obs.span("op.knn", kernel="loop") if traced else obs.NULL_SPAN
             ):
-                knn_f, knn_counts, knn_cands, widened = knn_on_layout(
+                knn_f, *_ = knn_on_layout(
                     fused, coords_f, centers_f, sampled_f, k
                 )
             with (
@@ -695,38 +696,16 @@ class BatchExecutor:
                     fused.num_points, coords_f, centers_f, sampled_f,
                     feats_f[sampled_f], knn_f,
                 )
-            knn_stats = (knn_counts, knn_cands, widened, k)
 
         elapsed = obs.now() - start
         total_points = int(point_offsets[-1])
         results = []
         for g, ((index, coords, _), structure) in enumerate(zip(items, structures)):
             n = len(coords)
-            blocks = slice(int(block_offsets[g]), int(block_offsets[g + 1]))
             row_lo, row_hi = int(row_offsets[g]), int(row_offsets[g + 1])
             point_off = int(point_offsets[g])
-            sizes = structure.block_sizes
-            search = fused.search_sizes[blocks]
-            traces = {
-                "fps": self._fused_trace(
-                    "fps", sizes, sizes, quotas[g], 1
-                ),
-                "ball_query": self._fused_trace(
-                    "ball_query", sizes, search, ball_counts[blocks],
-                    pipeline.group_size,
-                ),
-                "gather": self._fused_trace(
-                    "gather", sizes, search, ball_counts[blocks],
-                    pipeline.group_size,
-                ),
-            }
             interpolated = None
-            if knn_stats is not None:
-                knn_counts, knn_cands, widened, k = knn_stats
-                traces["interpolate"] = self._fused_trace(
-                    "interpolate", sizes, knn_cands[blocks],
-                    knn_counts[blocks], k, widened[blocks],
-                )
+            if interpolated_f is not None:
                 interpolated = interpolated_f[point_off: point_off + n]
             results.append(
                 CloudResult(
@@ -739,35 +718,10 @@ class BatchExecutor:
                     neighbors=neighbors_f[row_lo:row_hi] - point_off,
                     grouped=grouped_f[row_lo:row_hi],
                     interpolated=interpolated,
-                    traces=traces,
                     partition_source=sources[g],
                 )
             )
         return results
-
-    @staticmethod
-    def _fused_trace(
-        kind: str,
-        block_sizes: np.ndarray,
-        search_sizes: np.ndarray,
-        center_counts: np.ndarray,
-        outputs_per_center: int,
-        widened: np.ndarray | None = None,
-    ) -> OpTrace:
-        """Per-cloud work trace reconstructed from fused per-block arrays."""
-        trace = OpTrace(kind=kind)
-        for block_id in range(len(block_sizes)):
-            trace.blocks.append(
-                BlockWork(
-                    block_id=block_id,
-                    n_points=int(block_sizes[block_id]),
-                    n_search=int(search_sizes[block_id]),
-                    n_centers=int(center_counts[block_id]),
-                    n_outputs=int(center_counts[block_id]) * outputs_per_center,
-                    widened=bool(widened[block_id]) if widened is not None else False,
-                )
-            )
-        return trace
 
     def close(self) -> None:
         """No-op: the serial engine holds no workers.  Kept so existing

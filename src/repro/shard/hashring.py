@@ -109,7 +109,3 @@ class HashRing:
         if i == len(self._owners):  # wrap past the highest point
             i = 0
         return self._owners[i]
-
-    def route_many(self, keys) -> list[str]:
-        """Vectorised :meth:`route` for a batch of keys."""
-        return [self.route(key) for key in keys]

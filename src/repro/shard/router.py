@@ -136,11 +136,6 @@ class ShardRouter:
         max_clouds: greedy window cap inside each worker.
         max_in_flight: router-wide cap on unemitted requests; the pump
             blocks submission beyond it, bounding arena pressure.
-        ship_traces: ship per-op :class:`OpTrace` diagnostics with each
-            result.  Off by default — traces are hundreds of nested
-            dataclass objects per window and (un)pickling them can cost
-            more than the arrays they describe; results then carry
-            ``traces={}``.
         telemetry: optional :class:`ServeTelemetry` to record into.
     """
 
@@ -156,7 +151,6 @@ class ShardRouter:
         max_clouds: int = 16,
         max_in_flight: int = 32,
         replicas: int = 128,
-        ship_traces: bool = False,
         telemetry=None,
     ):
         if transport not in ("shm", "pickle"):
@@ -169,7 +163,6 @@ class ShardRouter:
         self.arena_bytes = arena_bytes
         self.max_clouds = max_clouds
         self.max_in_flight = max_in_flight
-        self.ship_traces = ship_traces
         if telemetry is None:
             from ..serve.telemetry import ServeTelemetry
 
@@ -225,7 +218,6 @@ class ShardRouter:
             kwargs=dict(transport=self.transport,
                         arena_bytes=self.arena_bytes,
                         max_clouds=self.max_clouds,
-                        ship_traces=self.ship_traces,
                         obs_config={"trace": obs.enabled(), "sample": 0}),
             name=f"repro-{name}",
             daemon=True,

@@ -30,6 +30,11 @@ so per-request messaging cost stays flat as windows grow:
   (``stats`` may carry the window's finished spans under ``"spans"``),
   ``("drained", shard, token)``, ``("stopped", shard)``.
 
+Each result crosses whole: its arrays (point-op outputs and, on model
+pipelines, ``model_output``) as transport ``refs``, its scalars as
+``meta`` — :func:`unpack_result` rebuilds the same :class:`CloudResult`
+the one-process engine returns.
+
 Tracing: the worker runs its tracer in remote-only mode (``sample=0``)
 — it never opens root traces of its own, but when a batch contains a
 request the router sampled, the whole window (engine, partition, ops)
@@ -47,16 +52,16 @@ from .transport import ArrayRef, PickleChannel, ShmArena, ShmPeer
 __all__ = ["shard_main", "pack_result", "unpack_result", "RESULT_ARRAYS"]
 
 #: CloudResult array fields shipped through the transport, in wire order.
-RESULT_ARRAYS = ("sampled", "neighbors", "grouped", "interpolated")
+RESULT_ARRAYS = (
+    "sampled", "neighbors", "grouped", "interpolated", "model_output",
+)
 
 
-def pack_result(channel, result: CloudResult, *, ship_traces: bool = True):
+def pack_result(channel, result: CloudResult):
     """Split one result into (picklable meta, transport refs).
 
-    ``ship_traces=False`` drops the per-op traces from the wire: they
-    are serial-engine diagnostics of ~450 nested dataclass objects per
-    window, and (un)pickling them costs more than moving the result
-    arrays themselves at small cloud sizes.
+    Every :class:`CloudResult` field rides the wire: the arrays of
+    :data:`RESULT_ARRAYS` through the transport, the scalars in ``meta``.
     """
     refs: list[ArrayRef | None] = []
     for name in RESULT_ARRAYS:
@@ -68,7 +73,6 @@ def pack_result(channel, result: CloudResult, *, ship_traces: bool = True):
         "num_blocks": result.num_blocks,
         "cache_hit": result.cache_hit,
         "seconds": result.seconds,
-        "traces": result.traces if ship_traces else {},
         "reused": result.reused,
         "partition_source": result.partition_source,
     }
@@ -93,7 +97,6 @@ def shard_main(
     transport: str = "shm",
     arena_bytes: int = 64 << 20,
     max_clouds: int = 16,
-    ship_traces: bool = False,
     obs_config: dict | None = None,
 ) -> None:
     """Process entry point of one engine shard (run under ``fork``)."""
@@ -146,9 +149,7 @@ def shard_main(
                 else obs.NULL_SPAN
             ):
                 for slot, (req_id, _, _, req_refs, _ctx) in enumerate(batch):
-                    meta, refs = pack_result(
-                        channel, results[slot], ship_traces=ship_traces
-                    )
+                    meta, refs = pack_result(channel, results[slot])
                     payload.append((req_id, meta, refs, req_refs))
         stats = {
             "size": len(batch),

@@ -37,7 +37,8 @@ def _assert_traces_equal(ta, tb):
 
 def _assert_fused_cold_matches(strategy, block, clouds, pipeline):
     """Run ``clouds`` as one fused window on a cold engine and compare
-    every cloud's samples and FPS trace with build-then-``block_fps``."""
+    every cloud's samples and per-block sample counts with
+    build-then-``block_fps``."""
     report = BatchExecutor(
         strategy, block_size=block, fuse=True,
         reuse_results=False, fuse_max_spread=None,
@@ -51,7 +52,10 @@ def _assert_fused_cold_matches(strategy, block, clouds, pipeline):
         )
         assert result.num_blocks == ref_s.num_blocks
         assert np.array_equal(result.sampled, ref_idx)
-        _assert_traces_equal(result.traces["fps"], ref_trace)
+        counts = np.bincount(
+            ref_s.block_of_point()[result.sampled], minlength=ref_s.num_blocks
+        )
+        assert counts.tolist() == [w.n_centers for w in ref_trace.blocks]
 
 
 class TestFusedParity:

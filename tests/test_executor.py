@@ -246,13 +246,6 @@ class TestBatchExecutor:
         with pytest.raises(ValueError, match="features"):
             engine.run_cloud((np.zeros((4, 3)), np.zeros((3, 2))))
 
-    def test_traces_cover_all_stages(self):
-        result = BatchExecutor("kdtree", block_size=32).run_cloud(
-            np.random.default_rng(11).normal(size=(120, 3))
-        )
-        assert set(result.traces) == {"fps", "ball_query", "gather", "interpolate"}
-        assert result.traces["fps"].total_outputs == len(result.sampled)
-
 
 FRAMES = LoadSpec(
     clouds=24, min_points=300, max_points=400, dup_rate=0.25,

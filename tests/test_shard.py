@@ -17,6 +17,7 @@ The obligations, layer by layer:
   hanging it.
 """
 
+import dataclasses
 import itertools
 import os
 import signal
@@ -29,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitize import extra_shm_segments, shm_segments
 from repro.datasets import load_cloud
-from repro.runtime import BatchExecutor
+from repro.infer import MODEL_NAMES
+from repro.runtime import BatchExecutor, CloudResult, PipelineSpec
 from repro.serve import WindowConfig, WindowedServer
 from repro.shard import (
     ArrayRef,
@@ -39,6 +41,7 @@ from repro.shard import (
     ShmArena,
     ShmPeer,
 )
+from repro.shard.worker import pack_result, unpack_result
 
 ENGINE = dict(partitioner="kdtree", block_size=32, kernel="auto")
 
@@ -216,6 +219,42 @@ class TestTransport:
         chan.close()
 
 
+class TestResultWire:
+    def test_every_cloud_result_field_survives_the_wire(self):
+        """A field :func:`pack_result` forgets comes back as its default;
+        the sample sets every field off its default, so it cannot hide."""
+        coords = clouds_for(1)[0]
+        sample = dataclasses.replace(
+            BatchExecutor(**ENGINE).run_cloud(coords),
+            cache_hit=True, reused=True, partition_source="warm",
+            model_output=np.arange(8.0),
+        )
+        fields = dataclasses.fields(CloudResult)
+        for f in fields:
+            value = getattr(sample, f.name)
+            if f.default is None:
+                assert value is not None, f.name
+            elif f.default is not dataclasses.MISSING:
+                assert value != f.default, f.name
+        for shm in (False, True):
+            channel = ShmArena(1 << 20) if shm else PickleChannel()
+            peer = ShmPeer() if shm else channel
+            try:
+                meta, refs = pack_result(channel, sample)
+                got = unpack_result(peer, meta, refs, copy=True)
+            finally:
+                peer.close()
+                channel.close()
+            for f in fields:
+                want, have = getattr(sample, f.name), getattr(got, f.name)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(have, np.ndarray), f.name
+                    assert want.dtype == have.dtype, f.name
+                    assert want.tobytes() == have.tobytes(), f.name
+                else:
+                    assert want == have, f.name
+
+
 class TestShardRouter:
     def test_parity_with_single_process_server_both_transports(self):
         clouds = clouds_for(8)
@@ -239,6 +278,27 @@ class TestShardRouter:
                 )
             # The repeats replay from the shard dedup windows.
             assert sum(s.result.reused for s in served) == 3
+
+    @pytest.mark.parametrize("transport", ("shm", "pickle"))
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_model_outputs_match_run_cloud(self, model, transport):
+        pipeline = PipelineSpec(model=model)
+        clouds = [
+            load_cloud("modelnet40", 200, seed=seed).coords
+            for seed in (130, 131, 132)
+        ]
+        engine = BatchExecutor(**ENGINE)
+        with ShardRouter(
+            1, engine=ENGINE, pipeline=pipeline, transport=transport
+        ) as router:
+            served = list(router.serve(clouds))
+        assert len(served) == len(clouds)
+        for coords, got in zip(clouds, served):
+            want = engine.run_cloud(coords, pipeline).model_output
+            have = got.result.model_output
+            assert have is not None
+            assert want.dtype == have.dtype and want.shape == have.shape
+            assert want.tobytes() == have.tobytes()
 
     def test_content_affinity_pins_repeats_to_one_shard(self):
         clouds = clouds_for(6)
@@ -289,15 +349,6 @@ class TestShardRouter:
                 # Every request block returned to the pool once its
                 # worker reported it consumed.
                 assert shard.channel.allocated == 0, name
-
-    def test_traces_stay_off_the_wire_unless_requested(self):
-        clouds = clouds_for(3, seed=120)
-        with ShardRouter(1, engine=ENGINE) as router:
-            served = list(router.serve(clouds))
-        assert all(s.result.traces == {} for s in served)
-        with ShardRouter(1, engine=ENGINE, ship_traces=True) as router:
-            served = list(router.serve(clouds))
-        assert all("fps" in s.result.traces for s in served)
 
     def test_router_rejects_bad_config(self):
         with pytest.raises(ValueError):
