@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import test_batch_parity as parity
-from test_batch_parity import make_cloud
+from test_batch_parity import TestExecutorParity, make_cloud
 
 from repro.runtime import BatchExecutor, PipelineSpec, content_key, result_key
 from repro.runtime.executor import DEFAULT_IN_FLIGHT
@@ -150,7 +149,7 @@ class TestWindowedServeParity:
     def assert_serial_parity(self, clouds, results, partitioner, block_size=16):
         assert [r.index for r in results] == list(range(len(clouds)))
         for coords, result in zip(clouds, results):
-            ref = parity.TestExecutorParity.reference_pipeline(
+            ref = TestExecutorParity.reference_pipeline(
                 np.asarray(coords, dtype=np.float64), partitioner,
                 block_size, self.PIPELINE,
             )

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import test_batch_parity as parity
-from test_batch_parity import make_cloud
+from test_batch_parity import TestExecutorParity, make_cloud
 
 from repro.runtime import BatchExecutor, PipelineSpec
 from repro.serve import (
@@ -33,7 +32,7 @@ PIPELINE = PipelineSpec(radius=0.4, group_size=8)
 
 def serial_reference(clouds, pipeline, partitioner="kdtree", block_size=16):
     return [
-        parity.TestExecutorParity.reference_pipeline(
+        TestExecutorParity.reference_pipeline(
             np.asarray(c, dtype=np.float64), partitioner, block_size, pipeline
         )
         for c in clouds
